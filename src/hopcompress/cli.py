@@ -1,7 +1,8 @@
 """Command-line interface: gen, compress, verify, eval, bench.
 
-Exit codes: 0 success, 1 invalid configuration, 2 I/O failure,
-3 internal self-check failure (a bug), 4 verification found violations.
+Exit codes: 0 success, 1 invalid configuration or a size guard (the LP
+iteration limit included), 2 I/O failure, 3 internal self-check failure
+(a bug), 4 verification found violations.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 
 from .compress import ProportionFunction, verify
 from .datagen import BUILTIN_NAMES, FamilySpec, builtin, gen_gnm
-from .errors import EdgeListFormatError, HopCompressError, SizeLimitError
+from .errors import EdgeListFormatError, HopCompressError, NotASubgraphError, SizeLimitError
 from .evaluate import (
     bench_orderings,
     compression_ratio,
@@ -160,14 +161,14 @@ def cmd_verify(args) -> int:
             print(f"edge ({lu}, {lv}) uses a vertex absent from the original")
             return EXIT_VIOLATION
         edges.append(canonical_edge(dense[lu], dense[lv]))
-    extra = [e for e in edges if not g.has_edge(*e)]
-    if extra:
-        lu, lv = (g_labels[x] for x in extra[0])
-        print(f"edge ({lu}, {lv}) is not present in the original graph")
-        return EXIT_VIOLATION
 
     gc = Graph.from_edges(g.n, edges, labels=g.labels)
-    report = verify(g, gc, pf)
+    try:
+        report = verify(g, gc, pf)
+    except NotASubgraphError as exc:
+        lu, lv = (g_labels[x] for x in exc.edge)
+        print(f"edge ({lu}, {lv}) is not present in the original graph")
+        return EXIT_VIOLATION
     if report.ok:
         print("ok")
         return EXIT_OK

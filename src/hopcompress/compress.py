@@ -233,6 +233,19 @@ def compress_basic(g: Graph, pf: ProportionFunction, order) -> CompressionResult
     )
 
 
+def require_subgraph(g: Graph, gc: Graph) -> None:
+    """Raise unless ``gc`` has ``g``'s vertex set and only edges of ``g``.
+
+    A vertex-count mismatch raises ValueError; an extra edge raises
+    :class:`NotASubgraphError` naming the first one in canonical order.
+    """
+    if gc.n != g.n:
+        raise ValueError(f"vertex count mismatch: {gc.n} != {g.n}")
+    for e in gc.edges():
+        if not g.has_edge(*e):
+            raise NotASubgraphError(e)
+
+
 def verify(g: Graph, gc: Graph, pf: ProportionFunction) -> VerificationReport:
     """Independently check a compressed graph against the original.
 
@@ -241,11 +254,7 @@ def verify(g: Graph, gc: Graph, pf: ProportionFunction) -> VerificationReport:
     Every vertex is re-checked from scratch against its full original
     neighborhood with one depth-t BFS; all violations are reported.
     """
-    if gc.n != g.n:
-        raise ValueError(f"vertex count mismatch: {gc.n} != {g.n}")
-    for e in gc.edges():
-        if not g.has_edge(*e):
-            raise NotASubgraphError(e)
+    require_subgraph(g, gc)
     ratios = [(p.numerator, p.denominator) for p in pf.props]
     violations: list[Violation] = []
     for v in range(g.n):

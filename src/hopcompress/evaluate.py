@@ -11,9 +11,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .compress import CompressionResult, ProportionFunction, compress_basic, verify
+from .compress import CompressionResult, ProportionFunction, compress_basic, require_subgraph, verify
 from .datagen import FamilySpec, gen_gnm
-from .errors import NotASubgraphError, SizeLimitError
+from .errors import SizeLimitError
 from .graph import Graph, bfs_distances
 from .orderings import SaParams, order_for, sa_compress
 
@@ -22,17 +22,9 @@ STRATEGY_NAMES = ("basic-random", "lp", "ec", "sa")
 BRUTE_FORCE_EDGE_LIMIT = 20
 
 
-def _require_subgraph(g: Graph, gc: Graph) -> None:
-    if gc.n != g.n:
-        raise ValueError(f"vertex count mismatch: {gc.n} != {g.n}")
-    for e in gc.edges():
-        if not g.has_edge(*e):
-            raise NotASubgraphError(e)
-
-
 def compression_ratio(g: Graph, gc: Graph) -> Fraction:
     """Deleted-edge fraction (|E| - |E_c|) / |E|, exact."""
-    _require_subgraph(g, gc)
+    require_subgraph(g, gc)
     if g.m == 0:
         raise ValueError("compression ratio undefined for an edgeless graph")
     return Fraction(g.m - gc.m, g.m)
@@ -100,7 +92,7 @@ def stretch_check(g: Graph, gc: Graph, t: int) -> StretchReport:
     Each edge of ``g`` missing from ``gc`` must be bridged by a path of
     at most ``t`` hops; reports the longest such detour observed.
     """
-    _require_subgraph(g, gc)
+    require_subgraph(g, gc)
     worst = 1.0
     for u, v in g.edges():
         if gc.has_edge(u, v):

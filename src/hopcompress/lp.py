@@ -70,7 +70,7 @@ class LpModel:
 
 @dataclass(frozen=True)
 class LpSolution:
-    status: str  # "optimal" | "infeasible" | "iteration-limit"
+    status: str  # "optimal" | "iteration-limit"
     edge_values: dict[Edge, float] | None
     objective: float | None
 
@@ -189,9 +189,10 @@ def _assert_witness_feasible(model: LpModel) -> None:
 def solve_lp(model: LpModel, max_iterations: int | None = None) -> LpSolution:
     """Solve the relaxation; deterministic for a fixed model.
 
-    The known feasible point seeds the solver so no artificial phase is
-    needed. Constraint residuals of an optimal answer are re-checked
-    within 1e-7.
+    The simplex starts from the model's witness point, which
+    :func:`build_lp` has checked in exact arithmetic; a hand-built model
+    whose witness breaks a row raises ValueError. Constraint residuals
+    of an optimal answer are re-checked within 1e-7.
     """
     n = model.num_vars
     # coverage rows asking for nothing (p(i) = 0) hold trivially since
@@ -219,16 +220,11 @@ def solve_lp(model: LpModel, max_iterations: int | None = None) -> LpSolution:
         senses,
         rhs,
         np.ones(n),
+        model.witness_at_upper,
         max_iterations=max_iterations,
-        start_at_upper=model.witness_at_upper,
     )
     if result.status == "iteration-limit":
         return LpSolution(status="iteration-limit", edge_values=None, objective=None)
-    if result.status == "infeasible":
-        # cannot arise from build_lp models (the witness is feasible);
-        # reported for malformed hand-built models
-        return LpSolution(status="infeasible", edge_values=None, objective=None)
-    assert result.status == "optimal", result.status
 
     x = np.clip(result.x, 0.0, 1.0)
     residual_tol = 1e-7
@@ -249,13 +245,17 @@ def solve_lp(model: LpModel, max_iterations: int | None = None) -> LpSolution:
 
 
 def lp_order(g: Graph, pf: ProportionFunction, max_edges: int = DEFAULT_MAX_EDGES, max_t: int = DEFAULT_MAX_T):
-    """Edges sorted by descending relaxation score, ties by canonical id."""
+    """Edges sorted by descending relaxation score, ties by canonical id.
+
+    Raises :class:`SizeLimitError` past the size guards of :func:`build_lp`
+    or when the simplex hits its iteration cap.
+    """
     from .orderings import EdgeOrdering
 
     model = build_lp(g, pf, max_edges=max_edges, max_t=max_t)
     solution = solve_lp(model)
-    if solution.status != "optimal":
-        raise RuntimeError(f"LP solve ended with status {solution.status}")
+    if solution.status == "iteration-limit":
+        raise SizeLimitError("LP iteration limit reached; use the ec or random ordering")
     values = solution.edge_values
     ranked = sorted(values, key=lambda e: (-values[e], e))
     return EdgeOrdering(edges=tuple(ranked), strategy="lp", seed=None)

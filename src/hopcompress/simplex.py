@@ -1,13 +1,20 @@
-"""Bounded-variable primal simplex on a dense tableau.
+"""Bounded-variable primal simplex on a dense tableau, started at a known point.
 
-Minimizes c.x subject to mixed <=, >=, = rows with variable bounds
-0 <= x_j <= u_j (u_j may be infinite). Two phases with artificial
-variables; an optional crash start from a known feasible point skips
-phase 1. Pricing is Dantzig's rule, switching to Bland's rule while
-the iterate stalls on degenerate pivots so cycling is impossible.
+Minimizes c.x subject to <= and >= rows with finite bounds
+0 <= x_j <= u_j. The caller supplies a feasible point: the variables in
+``start_at_upper`` sit at their upper bound, all others at zero. One
+slack per row makes that point the starting basic solution, so there is
+no phase one and no artificial variable; an ``=`` row, a non-finite
+bound or a start that violates a row is rejected with ValueError. Every
+variable that carries a cost is boxed, so the optimum is finite.
 
-Adequate for the few-hundred-row models this package builds; not a
-general-purpose LP code.
+Pricing is Dantzig's rule, switching to Bland's rule (Bland 1977) while
+the iterate stalls on degenerate pivots so cycling is impossible. An
+entering variable that reaches its other bound before any basic
+variable blocks flips bounds without a basis change.
+
+Adequate for the few-hundred-row models :mod:`hopcompress.lp` builds;
+not a general-purpose LP code.
 """
 
 from __future__ import annotations
@@ -16,49 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-try:  # optional: fuses the hot rank-1 tableau update
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    _HAVE_NUMBA = False
-
 _AT_LOWER, _AT_UPPER, _BASIC = 0, 1, 2
-
-
-def _rank1_update_numpy(t, col, prow, skip_row):
-    col[skip_row] = 0.0
-    rows_nz = np.nonzero(np.abs(col) > 1e-13)[0]
-    if rows_nz.size == 0:
-        return
-    cols_nz = np.nonzero(np.abs(prow) > 1e-13)[0]
-    if rows_nz.size * cols_nz.size * 2 < t.size:
-        t[np.ix_(rows_nz, cols_nz)] -= np.outer(col[rows_nz], prow[cols_nz])
-    else:
-        t[rows_nz] -= np.outer(col[rows_nz], prow)
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _rank1_update(t, col, prow, skip_row):  # pragma: no cover - jitted
-        m, n = t.shape
-        cols = np.nonzero(np.abs(prow) > 1e-13)[0]
-        for i in range(m):
-            c = col[i]
-            if i == skip_row or (-1e-13 < c < 1e-13):
-                continue
-            for k in range(cols.size):
-                j = cols[k]
-                t[i, j] -= c * prow[j]
-
-else:
-    _rank1_update = _rank1_update_numpy
+_SLACK_SIGN = {"<=": 1.0, ">=": -1.0}
 
 
 @dataclass
 class SimplexResult:
-    status: str  # "optimal" | "infeasible" | "unbounded" | "iteration-limit"
+    status: str  # "optimal" | "iteration-limit"
     x: np.ndarray | None  # structural variable values when optimal
     objective: float | None
     iterations: int
@@ -70,207 +41,86 @@ def solve_bounded_lp(
     senses,
     rhs,
     upper,
+    start_at_upper,
     tol: float = 1e-7,
     max_iterations: int | None = None,
-    start_at_upper=None,
 ) -> SimplexResult:
     """Solve min c.x, rows ``a_rows[i] . x (sense_i) rhs[i]``, 0 <= x <= upper.
 
-    ``start_at_upper`` optionally lists structural variables sitting at
-    their upper bound in a known feasible point (all others at zero);
-    when the implied slack basis is feasible it is used directly,
-    otherwise the solver falls back to the usual phase-1 start.
+    ``start_at_upper`` lists the variables at their upper bound in a
+    feasible point whose other variables are zero; the solve starts
+    there. Raises ValueError for mismatched shapes, a sense other than
+    ``<=``/``>=``, a non-finite bound, or a start point that violates a
+    row by more than ``tol``.
     """
     c = np.asarray(c, dtype=float)
-    a = np.atleast_2d(np.asarray(a_rows, dtype=float))
+    a = np.asarray(a_rows, dtype=float)
     b = np.asarray(rhs, dtype=float)
     upper = np.asarray(upper, dtype=float)
-    m, n_struct = a.shape if a.size else (0, c.size)
-    if m != len(senses) or m != b.size:
-        raise ValueError("row count mismatch")
-    if c.size != n_struct or upper.size != n_struct:
-        raise ValueError("column count mismatch")
+    m, n = len(senses), c.size
+    if a.shape != (m, n) or b.shape != (m,) or upper.shape != (n,):
+        raise ValueError("shape mismatch among c, a_rows, senses, rhs and upper")
+    if not np.all(np.isfinite(upper)):
+        raise ValueError("every upper bound must be finite")
+    try:
+        signs = np.array([_SLACK_SIGN[sense] for sense in senses])
+    except KeyError as exc:
+        raise ValueError(f"unsupported sense {exc.args[0]!r}; rows must be <= or >=") from None
 
-    solver = _Tableau(c, a, list(senses), b, upper, tol, max_iterations)
-    return solver.run(start_at_upper)
+    x0 = np.zeros(n)
+    at_upper = np.asarray(start_at_upper, dtype=int)
+    x0[at_upper] = upper[at_upper]
+    slack = (b - a @ x0) / signs
+    violated = np.nonzero(slack < -tol)[0]
+    if violated.size:
+        i = int(violated[0])
+        raise ValueError(f"start point violates row {i} by {-slack[i]:g}")
+    return _Tableau(c, a, signs, upper, x0, np.clip(slack, 0.0, None), tol, max_iterations).run()
 
 
 class _Tableau:
-    def __init__(self, c, a, senses, b, upper, tol, max_iterations):
-        m, n_struct = (a.shape if a.size else (len(senses), c.size))
+    def __init__(self, c, a, signs, upper, x0, slack, tol, max_iterations):
+        m, n = a.shape
         self.m = m
-        self.n_struct = n_struct
+        self.n_struct = n
         self.tol = tol
         self.eps_pivot = 1e-9
-
-        slack_of_row = {}
-        cols = [a] if a.size else []
-        slack_signs = []
-        for i, sense in enumerate(senses):
-            if sense == "<=":
-                slack_signs.append((i, 1.0))
-            elif sense == ">=":
-                slack_signs.append((i, -1.0))
-            elif sense != "=":
-                raise ValueError(f"unknown sense {sense!r}")
-        n_slack = len(slack_signs)
-        slack_cols = np.zeros((m, n_slack))
-        for j, (i, sign) in enumerate(slack_signs):
-            slack_cols[i, j] = sign
-            slack_of_row[i] = n_struct + j
-        if n_slack:
-            cols.append(slack_cols)
-
-        self.t = np.hstack(cols) if cols else np.zeros((m, n_struct))
-        self.n_total = n_struct + n_slack
+        # each row scaled so its slack has coefficient +1: the slack basis is the identity
+        self.t = np.hstack([a, np.diag(signs)]) / signs[:, None]
         self.c_struct = c
-        self.b = b.copy()
-        self.lo = np.zeros(self.n_total)
-        self.up = np.concatenate([upper, np.full(n_slack, np.inf)])
-        self.slack_of_row = slack_of_row
-        self.artificial = np.zeros(self.n_total, dtype=bool)
+        self.up = np.concatenate([upper, np.full(m, np.inf)])
+        self.movable = self.up > tol
+        self.basis = np.arange(n, n + m)
+        self.xb = slack
+        self.status = np.full(n + m, _AT_LOWER, dtype=np.int8)
+        self.status[:n][x0 > 0] = _AT_UPPER
+        self.status[self.basis] = _BASIC
         self.max_iterations = (
-            max_iterations
-            if max_iterations is not None
-            else 2000 + 50 * (self.m + self.n_total)
+            max_iterations if max_iterations is not None else 2000 + 50 * (2 * m + n)
         )
         self.iterations = 0
 
-    # ------------------------------------------------------------------
-    def run(self, start_at_upper) -> SimplexResult:
-        if start_at_upper is not None and self._try_crash_start(start_at_upper):
-            status = self._iterate(self._reduced_costs(self._full_costs()))
-            return self._finish(status)
-
-        phase1 = self._phase_one()
-        if phase1 != "feasible":
-            return SimplexResult(phase1, None, None, self.iterations)
-        status = self._iterate(self._reduced_costs(self._full_costs()))
-        return self._finish(status)
-
-    def _full_costs(self):
-        costs = np.zeros(self.n_total)
-        costs[: self.n_struct] = self.c_struct
-        return costs
-
-    def _reduced_costs(self, costs):
-        cb = costs[self.basis]
-        return costs - cb @ self.t
-
-    def _finish(self, status) -> SimplexResult:
-        if status != "optimal":
-            return SimplexResult(status, None, None, self.iterations)
+    def run(self) -> SimplexResult:
+        costs = np.concatenate([self.c_struct, np.zeros(self.m)])
+        if not self._iterate(costs - costs[self.basis] @ self.t):
+            return SimplexResult("iteration-limit", None, None, self.iterations)
         x = np.where(self.status == _AT_UPPER, self.up, 0.0)
-        x[self.basis] = np.clip(self.xb, self.lo[self.basis], self.up[self.basis])
+        x[self.basis] = np.clip(self.xb, 0.0, self.up[self.basis])
         xs = x[: self.n_struct]
         return SimplexResult("optimal", xs, float(self.c_struct @ xs), self.iterations)
 
-    # ------------------------------------------------------------------
-    def _try_crash_start(self, start_at_upper) -> bool:
-        """Basis = one slack per row, structural vars at given bounds."""
-        if len(self.slack_of_row) != self.m:
-            return False
-        x_struct = np.zeros(self.n_total)
-        for j in start_at_upper:
-            if not np.isfinite(self.up[j]):
-                return False
-            x_struct[j] = self.up[j]
-        residual = self.b - self.t[:, : self.n_struct] @ x_struct[: self.n_struct]
-        basis = np.array([self.slack_of_row[i] for i in range(self.m)], dtype=int)
-        signs = self.t[np.arange(self.m), basis]
-        xb = residual / signs
-        if np.any(xb < -self.tol):
-            return False
-        self._install_basis(basis, signs, x_struct, np.clip(xb, 0.0, None))
-        return True
-
-    def _install_basis(self, basis, signs, x_struct, xb):
-        self.t = self.t / signs[:, None]
-        self.basis = basis
-        self.xb = xb
-        self.status = np.full(self.n_total, _AT_LOWER, dtype=np.int8)
-        for j in range(self.n_struct):
-            if x_struct[j] > 0:
-                self.status[j] = _AT_UPPER
-        self.status[basis] = _BASIC
-
-    def _phase_one(self) -> str:
-        """Start from zero, add artificials where no slack can be basic.
-
-        Returns "feasible", "infeasible", or "iteration-limit".
-        """
-        signs = np.empty(self.m)
-        basis = np.empty(self.m, dtype=int)
-        art_cols = []
-        for i in range(self.m):
-            slack = self.slack_of_row.get(i)
-            slack_sign = self.t[i, slack] if slack is not None else 0.0
-            if slack is not None and self.b[i] * slack_sign >= 0:
-                basis[i] = slack
-                signs[i] = slack_sign
-            else:
-                col = np.zeros(self.m)
-                sign = 1.0 if self.b[i] >= 0 else -1.0
-                col[i] = sign
-                art_cols.append(col)
-                basis[i] = self.n_total + len(art_cols) - 1
-                signs[i] = sign
-        if art_cols:
-            self.t = np.hstack([self.t, np.column_stack(art_cols)])
-            n_art = len(art_cols)
-            self.lo = np.concatenate([self.lo, np.zeros(n_art)])
-            self.up = np.concatenate([self.up, np.full(n_art, np.inf)])
-            self.artificial = np.concatenate(
-                [self.artificial, np.ones(n_art, dtype=bool)]
-            )
-            self.n_total += n_art
-
-        self._install_basis(basis, signs, np.zeros(self.n_total), self.b / signs)
-
-        if not self.artificial.any():
-            return "feasible"
-        phase1_costs = np.where(self.artificial, 1.0, 0.0)
-        status = self._iterate(self._reduced_costs(phase1_costs), exclude_artificials=True)
-        if status != "optimal":
-            # the phase-1 objective is bounded below by zero, so
-            # "unbounded" cannot arise here
-            assert status == "iteration-limit", status
-            return status
-        art_value = float(self.xb[self.artificial[self.basis]].sum())
-        if art_value > self.tol:
-            return "infeasible"
-        self._pivot_out_artificials()
-        self.up[self.artificial] = 0.0
-        return "feasible"
-
-    def _pivot_out_artificials(self):
-        for i in range(self.m):
-            if not self.artificial[self.basis[i]]:
-                continue
-            row = self.t[i]
-            candidates = np.nonzero(
-                (np.abs(row) > self.eps_pivot) & ~self.artificial
-            )[0]
-            candidates = [j for j in candidates if self.status[j] != _BASIC]
-            if candidates:
-                self._pivot(i, candidates[0], 0.0, +1)
-            # else: row is redundant; the artificial stays basic at zero
-            # and never blocks (its row is zero on every eligible column)
-
-    # ------------------------------------------------------------------
-    def _iterate(self, z, exclude_artificials: bool = False) -> str:
+    def _iterate(self, z) -> bool:
+        """Pivot until no reduced cost improves (True) or the cap is hit (False)."""
         bland = False
         stall = 0
         stall_limit = max(50, 2 * self.m)
         while True:
             if self.iterations >= self.max_iterations:
-                return "iteration-limit"
-            q, direction = self._entering(z, bland, exclude_artificials)
+                return False
+            q, direction = self._entering(z, bland)
             if q < 0:
-                return "optimal"
+                return True
             theta, leave_row, leave_to_upper = self._ratio_test(q, direction, bland)
-            if theta is None:
-                return "unbounded"
             if leave_row < 0:
                 # bound flip: no basis change
                 self.xb -= theta * direction * self.t[:, q]
@@ -289,14 +139,11 @@ class _Tableau:
                 stall = 0
                 bland = False
 
-    def _entering(self, z, bland, exclude_artificials):
-        movable = self.up - self.lo > self.tol
+    def _entering(self, z, bland):
         eligible = (
             ((self.status == _AT_LOWER) & (z < -self.tol))
             | ((self.status == _AT_UPPER) & (z > self.tol))
-        ) & movable
-        if exclude_artificials:
-            eligible &= ~self.artificial
+        ) & self.movable
         idx = np.nonzero(eligible)[0]
         if idx.size == 0:
             return -1, 0
@@ -306,7 +153,7 @@ class _Tableau:
 
     def _ratio_test(self, q, direction, bland):
         alpha = direction * self.t[:, q]
-        limit = self.up[q] - self.lo[q]  # bound-flip step
+        limit = self.up[q]  # bound-flip step
         theta_rows = np.full(self.m, np.inf)
         pos = alpha > self.eps_pivot
         if pos.any():
@@ -320,13 +167,11 @@ class _Tableau:
             )
         np.maximum(theta_rows, 0.0, out=theta_rows)
         row_min = float(theta_rows.min()) if self.m else np.inf
+        # an improving ray would need an unboxed variable with a cost
+        assert np.isfinite(min(limit, row_min)), "unbounded ray"
         if limit <= row_min + 1e-12:
             # the entering variable reaches its other bound first: flip
-            if not np.isfinite(limit):
-                return None, -1, False
             return limit, -1, False
-        if not np.isfinite(row_min):
-            return None, -1, False
         ties = np.nonzero(theta_rows <= row_min + 1e-12)[0]
         if bland:
             leave_row = int(ties[np.argmin(self.basis[ties])])
@@ -334,9 +179,9 @@ class _Tableau:
             leave_row = int(ties[np.argmax(np.abs(alpha[ties]))])
         return row_min, leave_row, bool(alpha[leave_row] < 0)
 
-    def _pivot(self, row, q, theta, direction, leave_to_upper=False):
+    def _pivot(self, row, q, theta, direction, leave_to_upper):
         entering_value = (
-            self.lo[q] if self.status[q] == _AT_LOWER else self.up[q]
+            0.0 if self.status[q] == _AT_LOWER else self.up[q]
         ) + direction * theta
         if theta:
             self.xb -= theta * direction * self.t[:, q]
@@ -344,12 +189,19 @@ class _Tableau:
         self.status[leaving] = _AT_UPPER if leave_to_upper else _AT_LOWER
         self.basis[row] = q
         self.status[q] = _BASIC
-        pivot = self.t[row, q]
-        self.t[row] /= pivot
-        prow = self.t[row].copy()
-        col = self.t[:, q].copy()
+        t = self.t
+        t[row] /= t[row, q]
+        prow = t[row].copy()
+        col = t[:, q].copy()
+        col[row] = 0.0
         # rank-1 elimination restricted to the nonzero pattern
-        _rank1_update(self.t, col, prow, row)
-        self.t[:, q] = 0.0
-        self.t[row, q] = 1.0
+        rows_nz = np.nonzero(np.abs(col) > 1e-13)[0]
+        if rows_nz.size:
+            cols_nz = np.nonzero(np.abs(prow) > 1e-13)[0]
+            if rows_nz.size * cols_nz.size * 2 < t.size:
+                t[np.ix_(rows_nz, cols_nz)] -= np.outer(col[rows_nz], prow[cols_nz])
+            else:
+                t[rows_nz] -= np.outer(col[rows_nz], prow)
+        t[:, q] = 0.0
+        t[row, q] = 1.0
         self.xb[row] = entering_value

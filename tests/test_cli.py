@@ -2,8 +2,16 @@ import json
 
 import pytest
 
-from hopcompress import Graph, builtin, write_edge_list
+from hopcompress import Graph, LpSolution, builtin, write_edge_list
 from hopcompress.cli import main
+
+
+@pytest.fixture
+def lp_iteration_limit(monkeypatch):
+    monkeypatch.setattr(
+        "hopcompress.lp.solve_lp",
+        lambda model: LpSolution(status="iteration-limit", edge_values=None, objective=None),
+    )
 
 
 def write_graph(path, g):
@@ -110,6 +118,13 @@ class TestCompress:
         assert payload["strategy"] == "sa"
         assert payload["kept"] == 2
 
+    def test_lp_iteration_limit_is_config_error(self, triangle_file, lp_iteration_limit, capsys):
+        code = main(["compress", triangle_file, "--p", "1", "--ordering", "lp"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "LP iteration limit reached; use the ec or random ordering" in err
+        assert "Traceback" not in err
+
 
 class TestVerify:
     def test_roundtrip_after_compress(self, zachary_file, tmp_path, capsys):
@@ -212,6 +227,13 @@ class TestBench:
         payload = json.loads(report.read_text())
         assert payload["trials"] == 3
         assert payload["seed_list"] == [4, 5, 6]
+
+    def test_lp_iteration_limit_is_config_error(self, lp_iteration_limit, capsys):
+        code = main(["bench", "--family", "10,15,2", "--p", "1", "--strategies", "lp", "--jobs", "1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "LP iteration limit reached; use the ec or random ordering" in err
+        assert "Traceback" not in err
 
     def test_bad_family_string(self):
         assert main(["bench", "--family", "8,12", "--p", "1"]) == 1

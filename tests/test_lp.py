@@ -3,18 +3,34 @@ from hypothesis import given, settings
 
 from hopcompress import (
     Graph,
+    LpModel,
     ProportionFunction,
     SizeLimitError,
     brute_force_optimal,
     build_lp,
+    builtin,
     compress_basic,
     dump_lp,
     lp_order,
     solve_lp,
     verify,
 )
+from hopcompress.lp import LpRow
 
 from conftest import small_graphs
+
+# lp_order(builtin("zachary"), "1/2,1") before the simplex lost its phase one
+ZACHARY_LP_ORDER = (
+    (0, 11), (0, 31), (1, 30), (2, 9), (2, 27), (2, 28), (3, 7), (9, 33), (19, 33),
+    (23, 25), (24, 27), (13, 33), (0, 8), (26, 29), (29, 33), (1, 7), (2, 8), (8, 32),
+    (3, 13), (18, 32), (14, 32), (20, 32), (30, 32), (22, 32), (32, 33), (15, 32),
+    (5, 10), (4, 6), (4, 10), (1, 13), (1, 17), (1, 19), (1, 21), (0, 1), (5, 6),
+    (5, 16), (0, 12), (23, 27), (23, 33), (24, 25), (24, 31), (25, 31), (27, 33),
+    (28, 31), (28, 33), (31, 32), (31, 33), (0, 3), (3, 12), (6, 16), (0, 21), (0, 19),
+    (0, 17), (0, 4), (0, 6), (0, 10), (0, 5), (15, 33), (14, 33), (20, 33), (22, 33),
+    (18, 33), (2, 32), (2, 3), (2, 7), (2, 13), (1, 2), (23, 29), (23, 32), (26, 33),
+    (29, 32), (8, 30), (30, 33), (8, 33), (0, 13), (0, 2), (0, 7), (1, 3),
+)
 
 
 def row_tags(model):
@@ -97,6 +113,24 @@ class TestSolveLp:
         second = solve_lp(model)
         assert first.edge_values == second.edge_values
         assert first.objective == second.objective
+
+    def test_zachary_frozen(self):
+        pf = ProportionFunction.parse("1/2,1")
+        solution = solve_lp(build_lp(builtin("zachary"), pf))
+        assert solution.objective == pytest.approx(42.01373626373628, abs=1e-9)
+        assert lp_order(builtin("zachary"), pf).edges == ZACHARY_LP_ORDER
+
+    def test_witness_breaking_a_row_rejected(self):
+        # x_0_1 <= 0 cannot hold at a witness with x_0_1 = 1
+        model = LpModel(
+            edges=((0, 1),),
+            paths=(((0, 1),),),
+            proportions=ProportionFunction.parse("1"),
+            rows=(LpRow(coeffs=((0, 1.0),), sense="<=", rhs=0.0, tag="broken"),),
+            witness_at_upper=(0, 1),
+        )
+        with pytest.raises(ValueError, match="violates row 0"):
+            solve_lp(model)
 
     @settings(max_examples=20, deadline=None)
     @given(g=small_graphs(max_n=6))
