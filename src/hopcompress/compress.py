@@ -127,16 +127,22 @@ def _levels_ok(
     neighbors have been reached after each level. Comparisons are exact:
     count must satisfy count * den >= num * deg. Returns (ok, failing
     level, count at that level); level is 0 when all pass.
+
+    The BFS stops as soon as the count reaches need = ceil(p(t) * deg),
+    even in the middle of a level: p is non-decreasing, the levels below
+    have passed and the count only grows, so every level passes. A
+    failure reports the same level and count as a full-depth BFS.
     """
     base_set = base if isinstance(base, (set, frozenset)) else set(base)
     deg = len(base_set)
-    if deg == 0:
+    num, den = ratios[-1]
+    need = -(-num * deg // den)
+    if need == 0:
         return True, 0, 0
-    t = len(ratios)
     count = 0
     seen = {v}
     frontier = [v]
-    for level in range(1, t + 1):
+    for level, (num, den) in enumerate(ratios, start=1):
         nxt: list[int] = []
         for x in frontier:
             for y in adjacency[x]:
@@ -145,20 +151,12 @@ def _levels_ok(
                     nxt.append(y)
                     if y in base_set:
                         count += 1
-        num, den = ratios[level - 1]
+                        if count == need:
+                            return True, 0, count
         if count * den < num * deg:
             return False, level, count
-        if count == deg:
-            return True, 0, count  # every base neighbor found already
-        if not nxt:
-            # the count is final; report the first deeper level that fails
-            for rest in range(level + 1, t + 1):
-                num, den = ratios[rest - 1]
-                if count * den < num * deg:
-                    return False, rest, count
-            return True, 0, count
         frontier = nxt
-    return True, 0, count
+    raise AssertionError("level t passes only once the count reaches need")
 
 
 def check_node(
@@ -186,6 +184,62 @@ def _validate_ordering(g: Graph, edges: Sequence[Edge]) -> None:
         raise InvalidOrderingError("ordering is not a permutation of the graph's edges")
 
 
+def _scan(
+    n: int,
+    edges: Sequence[Edge],
+    pf: ProportionFunction,
+    prev: Sequence[bool] | None = None,
+    swap: tuple[int, int] = (0, 0),
+) -> list[bool]:
+    """Keep flags of the incremental scan, one per position of ``edges``.
+
+    ``prev`` may hold the flags of a scan over this order with positions
+    ``swap = (i, j)``, i < j, exchanged; then only the decisions the swap
+    can change are scanned. Decisions before i see the same prefix, so
+    they are replayed from ``prev`` without a BFS. After position j the
+    prefix holds the same edges again; if it also kept the same ones
+    (positions i and j mapped across the swap), every later decision
+    repeats and the rest of ``prev`` is copied. The flags are identical
+    to a full scan's.
+    """
+    ratios = [(p.numerator, p.denominator) for p in pf.props]
+    reference: list[set[int]] = [set() for _ in range(n)]  # replayed prefix
+    kept_adj: list[list[int]] = [[] for _ in range(n)]
+    flags: list[bool] = []
+    i, j = swap
+    if prev is not None:
+        for k in range(i):
+            u, v = edges[k]
+            reference[u].add(v)
+            reference[v].add(u)
+            if prev[k]:
+                kept_adj[u].append(v)
+                kept_adj[v].append(u)
+        flags = list(prev[:i])
+    for k in range(len(flags), len(edges)):
+        u, v = edges[k]
+        reference[u].add(v)
+        reference[v].add(u)
+        keep = (
+            not _levels_ok(u, reference[u], kept_adj, ratios)[0]
+            or not _levels_ok(v, reference[v], kept_adj, ratios)[0]
+        )
+        flags.append(keep)
+        if keep:
+            kept_adj[u].append(v)
+            kept_adj[v].append(u)
+        if (
+            k == j
+            and prev is not None
+            and flags[i] == prev[j]
+            and flags[j] == prev[i]
+            and flags[i + 1 : j] == prev[i + 1 : j]
+        ):
+            flags.extend(prev[j + 1 :])
+            break
+    return flags
+
+
 def compress_basic(g: Graph, pf: ProportionFunction, order) -> CompressionResult:
     """Single incremental scan over the edges in the given order.
 
@@ -206,25 +260,12 @@ def compress_basic(g: Graph, pf: ProportionFunction, order) -> CompressionResult
     _validate_ordering(g, edges)
 
     start = time.perf_counter()
-    n = g.n
-    ratios = [(p.numerator, p.denominator) for p in pf.props]
-    reference: list[set[int]] = [set() for _ in range(n)]  # replayed prefix
-    kept_adj: list[list[int]] = [[] for _ in range(n)]
-    kept: list[Edge] = []
-    for u, v in edges:
-        reference[u].add(v)
-        reference[v].add(u)
-        keep = not _levels_ok(u, reference[u], kept_adj, ratios)[0]
-        if not keep:
-            keep = not _levels_ok(v, reference[v], kept_adj, ratios)[0]
-        if keep:
-            kept.append(canonical_edge(u, v))
-            kept_adj[u].append(v)
-            kept_adj[v].append(u)
+    flags = _scan(g.n, edges, pf)
+    kept = frozenset(canonical_edge(u, v) for (u, v), keep in zip(edges, flags) if keep)
     seconds = time.perf_counter() - start
     return CompressionResult(
-        kept=frozenset(kept),
-        n=n,
+        kept=kept,
+        n=g.n,
         m=g.m,
         proportions=pf,
         strategy=strategy,

@@ -14,7 +14,7 @@ from itertools import combinations
 from .compress import CompressionResult, ProportionFunction, compress_basic, require_subgraph, verify
 from .datagen import FamilySpec, gen_gnm
 from .errors import SizeLimitError
-from .graph import Graph, bfs_distances
+from .graph import Graph, hop_distance
 from .orderings import SaParams, order_for, sa_compress
 
 STRATEGY_NAMES = ("basic-random", "lp", "ec", "sa")
@@ -97,7 +97,7 @@ def stretch_check(g: Graph, gc: Graph, t: int) -> StretchReport:
     for u, v in g.edges():
         if gc.has_edge(u, v):
             continue
-        dist = bfs_distances(gc.adjacency, u).get(v)
+        dist = hop_distance(gc.adjacency, u, v)
         worst = max(worst, float(dist) if dist is not None else math.inf)
     return StretchReport(ok=worst <= t, max_stretch=worst)
 

@@ -8,7 +8,7 @@ be written back in the caller's id space.
 from __future__ import annotations
 
 import warnings
-from collections import deque
+from bisect import bisect_left
 from typing import IO, Iterable, Iterator, Sequence
 
 from .errors import EdgeListFormatError
@@ -44,7 +44,9 @@ class Graph:
                     raise ValueError(f"neighbor {v} of vertex {u} out of range")
                 if v == prev:
                     raise ValueError(f"duplicate edge ({u}, {v})")
-                if u not in adj[v]:
+                row = adj[v]
+                k = bisect_left(row, u)
+                if k == len(row) or row[k] != u:
                     raise ValueError(f"asymmetric adjacency: {u}->{v} but not {v}->{u}")
                 prev = v
             degree_sum += len(neighbors)
@@ -197,23 +199,28 @@ def k_hop_neighbors(g: Graph, v: int, k: int) -> set[int]:
     return result
 
 
-def bfs_distances(adjacency: Sequence[Sequence[int]], source: int, cutoff: int | None = None) -> dict[int, int]:
-    """Hop distances from ``source`` to every reachable vertex.
+def hop_distance(adjacency: Sequence[Sequence[int]], source: int, target: int) -> int | None:
+    """Hop distance from ``source`` to ``target``, or None when unreachable.
 
-    ``cutoff`` bounds the search depth; distances beyond it are omitted.
+    Level-by-level BFS that stops as soon as ``target`` is reached.
     """
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        x = queue.popleft()
-        d = dist[x]
-        if cutoff is not None and d >= cutoff:
-            continue
-        for y in adjacency[x]:
-            if y not in dist:
-                dist[y] = d + 1
-                queue.append(y)
-    return dist
+    if source == target:
+        return 0
+    seen = {source}
+    frontier = [source]
+    hops = 0
+    while frontier:
+        hops += 1
+        nxt: list[int] = []
+        for x in frontier:
+            for y in adjacency[x]:
+                if y == target:
+                    return hops
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return None
 
 
 def enumerate_simple_paths(g: Graph, u: int, v: int, max_len: int) -> list[Path]:

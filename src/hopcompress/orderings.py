@@ -14,7 +14,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .compress import CompressionResult, ProportionFunction, compress_basic
+from .compress import CompressionResult, ProportionFunction, _scan, compress_basic
 from .graph import Edge, Graph, enumerate_simple_paths
 
 
@@ -95,36 +95,44 @@ def sa_compress(g: Graph, pf: ProportionFunction, params: SaParams) -> Compressi
     so the acceptance chance shrinks as T cools. The best order seen is
     tracked and compressed once more for the returned result, whose
     ``seconds`` covers the whole search.
+
+    A trial does not rescan the whole order: it replays the decisions
+    before the first swapped position from the current order's keep
+    flags and, when the kept edges up to the second swapped position
+    match, reuses the current order's later decisions too. The costs,
+    and so the search, are identical to a full rescan per trial.
     """
     start = time.perf_counter()
     rng = random.Random(params.seed)
     current = list(g.edges())
     rng.shuffle(current)
 
-    cost_current = compress_basic(g, pf, current).kept_count()
-    best = list(current)
+    flags = _scan(g.n, current, pf)
+    cost_current = sum(flags)
+    best = current
     cost_best = cost_current
 
     m = len(current)
     temperature = params.t0
     for _ in range(params.iterations):
         if m >= 2:
-            i, j = rng.sample(range(m), 2)
+            i, j = sorted(rng.sample(range(m), 2))
             candidate = list(current)
             candidate[i], candidate[j] = candidate[j], candidate[i]
+            candidate_flags = _scan(g.n, candidate, pf, flags, (i, j))
         else:
-            candidate = list(current)
-        cost = compress_basic(g, pf, candidate).kept_count()
+            candidate, candidate_flags = current, flags
+        cost = sum(candidate_flags)
         if cost < cost_best:
             best = candidate
             cost_best = cost
         if cost < cost_current:
-            current = candidate
+            current, flags = candidate, candidate_flags
             cost_current = cost
         else:
             r = rng.random()
             if math.exp((cost_current - cost) / temperature) > r:
-                current = candidate
+                current, flags = candidate, candidate_flags
                 cost_current = cost
         temperature *= params.alpha
 

@@ -13,7 +13,7 @@ from itertools import combinations
 import pytest
 from hypothesis import strategies as st
 
-from hopcompress import Graph, ProportionFunction
+from hopcompress import Graph, ProportionFunction, Violation
 
 
 def recursive_simple_paths(g: Graph, u: int, v: int, max_len: int) -> list[tuple[int, ...]]:
@@ -50,18 +50,24 @@ def oracle_distances(g: Graph, source: int) -> dict[int, int]:
     return dist
 
 
-def oracle_satisfies(g: Graph, gc: Graph, pf: ProportionFunction) -> bool:
-    """Definition check via all-pairs BFS, independent of verify()."""
+def oracle_violations(g: Graph, gc: Graph, pf: ProportionFunction) -> list[Violation]:
+    """First failing level per vertex via a full-depth BFS, independent of verify()."""
+    found = []
     for v in range(g.n):
         base = g.adjacency[v]
-        if not base:
-            continue
         dist = oracle_distances(gc, v)
         for level in range(1, pf.t + 1):
             reached = sum(1 for u in base if dist.get(u, 10**9) <= level)
-            if Fraction(reached) < pf.at(level) * len(base):
-                return False
-    return True
+            required = pf.at(level) * len(base)
+            if Fraction(reached) < required:
+                found.append(Violation(v, level, required, reached))
+                break
+    return found
+
+
+def oracle_satisfies(g: Graph, gc: Graph, pf: ProportionFunction) -> bool:
+    """Definition check via all-pairs BFS, independent of verify()."""
+    return not oracle_violations(g, gc, pf)
 
 
 @st.composite

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopcompress import (
     Graph,
@@ -14,7 +15,7 @@ from hopcompress import (
     verify,
 )
 
-from conftest import oracle_satisfies, proportion_functions, small_graphs
+from conftest import oracle_satisfies, oracle_violations, proportion_functions, small_graphs
 
 
 class TestProportionFunction:
@@ -161,6 +162,14 @@ class TestVerify:
         edges = list(random_order(g, seed).edges)[::2]
         gc = Graph.from_edges(g.n, edges)
         assert verify(g, gc, pf).ok == oracle_satisfies(g, gc, pf)
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=small_graphs(max_n=9), pf=proportion_functions(), data=st.data())
+    def test_violations_match_full_depth_bfs(self, g, pf, data):
+        edges = list(g.edges())
+        kept = data.draw(st.lists(st.sampled_from(edges), unique=True) if edges else st.just([]))
+        gc = Graph.from_edges(g.n, kept)
+        assert list(verify(g, gc, pf).violations) == oracle_violations(g, gc, pf)
 
     def test_agrees_with_all_pairs_oracle_mid_size(self):
         import random as stdlib_random

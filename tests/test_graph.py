@@ -1,4 +1,5 @@
 import io
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -71,6 +72,25 @@ class TestGraphInvariants:
     def test_rejects_asymmetric_adjacency(self):
         with pytest.raises(ValueError):
             Graph([[1], []])
+
+    @pytest.mark.parametrize(
+        "adjacency, message",
+        [
+            ([[1], []], "0->1 but not 1->0"),
+            ([[1, 2], [0], [1]], "0->2 but not 2->0"),
+            ([[1], [0, 2], [0]], "1->2 but not 2->1"),
+        ],
+    )
+    def test_asymmetric_adjacency_names_the_arc(self, adjacency, message):
+        with pytest.raises(ValueError, match=f"asymmetric adjacency: {message}"):
+            Graph(adjacency)
+
+    def test_large_star_builds_quickly(self):
+        leaves = 40_000
+        start = time.perf_counter()
+        star = Graph.from_edges(leaves + 1, [(0, leaf) for leaf in range(1, leaves + 1)])
+        assert time.perf_counter() - start < 3.0
+        assert star.m == leaves and star.degree(0) == leaves
 
     def test_immutable(self):
         g = Graph.from_edges(2, [(0, 1)])

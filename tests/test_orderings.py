@@ -1,3 +1,5 @@
+import math
+import random
 from collections import Counter
 
 import pytest
@@ -10,10 +12,13 @@ from hopcompress import (
     compress_basic,
     ec_order,
     ec_scores,
+    gen_gnm,
     random_order,
     sa_compress,
     verify,
 )
+
+import hopcompress.orderings as orderings_module
 
 from conftest import recursive_simple_paths, small_graphs
 
@@ -26,6 +31,31 @@ def oracle_ec_scores(g, t):
             for a, b in zip(path, path[1:]):
                 scores[(a, b) if a < b else (b, a)] += 1
     return scores
+
+
+def oracle_sa(g, pf, params):
+    """Annealing with a full ``compress_basic`` on every candidate and the
+    same RNG draws as ``sa_compress``; returns (best order, its kept set)."""
+    rng = random.Random(params.seed)
+    current = list(g.edges())
+    rng.shuffle(current)
+    cost_current = compress_basic(g, pf, current).kept_count()
+    best, cost_best = current, cost_current
+    temperature = params.t0
+    for _ in range(params.iterations):
+        candidate = list(current)
+        if len(current) >= 2:
+            i, j = rng.sample(range(len(current)), 2)
+            candidate[i], candidate[j] = candidate[j], candidate[i]
+        cost = compress_basic(g, pf, candidate).kept_count()
+        if cost < cost_best:
+            best, cost_best = candidate, cost
+        if cost < cost_current:
+            current, cost_current = candidate, cost
+        elif math.exp((cost_current - cost) / temperature) > rng.random():
+            current, cost_current = candidate, cost
+        temperature *= params.alpha
+    return tuple(best), compress_basic(g, pf, best).kept
 
 
 class TestRandomOrder:
@@ -122,6 +152,28 @@ class TestSaCompress:
     def test_result_metadata(self, triangle):
         result = sa_compress(triangle, ProportionFunction.parse("0,1"), SaParams(seed=4, iterations=10))
         assert result.strategy == "sa" and result.seed == 4
+
+    @pytest.mark.parametrize("p", ["0,1/2", "1/2,1", "1/3,2/3,1", "1"])
+    def test_matches_full_rescan_oracle(self, p, monkeypatch):
+        pf = ProportionFunction.parse(p)
+        graphs = [gen_gnm(20, 60, seed) for seed in (1, 2, 3)] + [
+            gen_gnm(12, 30, 4),
+            Graph.from_edges(2, [(0, 1)]),
+            Graph.from_edges(3, []),
+        ]
+        final_orders = []
+
+        def spy(g, pf, order):
+            final_orders.append(order.edges)
+            return compress_basic(g, pf, order)
+
+        monkeypatch.setattr(orderings_module, "compress_basic", spy)
+        for seed, g in enumerate(graphs):
+            params = SaParams(iterations=300, seed=seed)
+            result = sa_compress(g, pf, params)
+            best, kept = oracle_sa(g, pf, params)
+            assert final_orders[-1] == best
+            assert result.kept == kept
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
