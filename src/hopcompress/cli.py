@@ -132,6 +132,8 @@ def cmd_compress(args) -> int:
         "seconds": result.seconds,
         "verified": report.ok,
     }
+    if result.lp_iterations is not None:
+        payload["lp_iterations"] = result.lp_iterations
     text = json.dumps(payload, indent=2) + "\n"
     if args.report:
         _write_text(args.report, text)

@@ -9,8 +9,10 @@ are exact rationals and every threshold comparison is exact.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .errors import InvalidOrderingError, NotASubgraphError
@@ -105,6 +107,7 @@ class CompressionResult:
     strategy: str
     seed: int | None
     seconds: float
+    lp_iterations: int | None = None  # simplex pivots behind an "lp" order
 
     def kept_count(self) -> int:
         return len(self.kept)
@@ -180,8 +183,36 @@ def check_node(
 
 
 def _validate_ordering(g: Graph, edges: Sequence[Edge]) -> None:
-    if len(edges) != g.m or {canonical_edge(u, v) for u, v in edges} != g.edge_set():
+    """Raise unless ``edges`` holds every edge of ``g`` once, either way round.
+
+    Each pair is found by bisection in its sorted adjacency row and
+    marks that row slot, so a repeat is caught without building a set.
+    """
+    if len(edges) != g.m:
         raise InvalidOrderingError("ordering is not a permutation of the graph's edges")
+    adjacency = g.adjacency
+    start = list(accumulate(map(len, adjacency), initial=0))  # row u's first slot
+    seen = bytearray(start[-1])
+    for u, v in edges:
+        if u > v:
+            u, v = v, u
+        row = adjacency[u] if 0 <= u and v < g.n else ()
+        k = bisect_left(row, v)
+        if k == len(row) or row[k] != v or seen[start[u] + k]:
+            raise InvalidOrderingError("ordering is not a permutation of the graph's edges")
+        seen[start[u] + k] = 1
+
+
+def _share_kept_neighbor(a: list[int], b: list[int], mark: list[int], stamp: int) -> bool:
+    """Do the kept rows ``a`` and ``b`` have a vertex in common?
+
+    Stamps the shorter row into ``mark`` and looks the longer one up.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    for w in a:
+        mark[w] = stamp
+    return stamp in map(mark.__getitem__, b)
 
 
 def _scan(
@@ -193,6 +224,30 @@ def _scan(
 ) -> list[bool]:
     """Keep flags of the incremental scan, one per position of ``edges``.
 
+    Step k appends edge (u, v) to the reference graph and keeps it unless
+    both endpoints still meet every level in the kept graph. Invariant:
+    before step k every vertex meets every level against its reference
+    neighbours in the kept graph. Only u and v change their reference
+    sets, the kept graph only grows, and a kept edge puts each endpoint's
+    new neighbour one hop away, which lifts every count by one and so
+    meets p(i)·(old + 1) <= p(i)·old + 1. For endpoint x with other
+    endpoint y, deg = |reference[x]| (y included) and old = deg - 1:
+
+    - level 1 is exact in O(1): every kept edge at x is a reference edge
+      of x and (x, y) is not kept yet, so the count is |kept_adj[x]|;
+    - a level i >= 2 whose threshold ceil(p(i)·deg) equals
+      ceil(p(i)·old) passes, since the invariant already gives the old
+      reference set that many vertices within i hops;
+    - if x and y share a kept neighbour, y is within 2 hops, which adds
+      one to the invariant's count: ceil(p(i)·old) + 1 >= p(i)·deg, so
+      every level from 2 up passes;
+    - at t = 2 with no shared kept neighbour y is beyond 2 hops, so the
+      level-2 count is at most old and ceil(p(2)·deg) > old fails;
+    - anything else runs the exact depth-t BFS of :func:`_levels_ok`.
+
+    The probe is symmetric, so it runs at most once per edge, and only
+    when an endpoint needs it. The flags are those of a BFS per endpoint.
+
     ``prev`` may hold the flags of a scan over this order with positions
     ``swap = (i, j)``, i < j, exchanged; then only the decisions the swap
     can change are scanned. Decisions before i see the same prefix, so
@@ -203,27 +258,53 @@ def _scan(
     to a full scan's.
     """
     ratios = [(p.numerator, p.denominator) for p in pf.props]
-    reference: list[set[int]] = [set() for _ in range(n)]  # replayed prefix
+    num1, den1 = ratios[0]
+    upper = ratios[1:]
+    at_t2 = len(ratios) == 2
+    num_t, den_t = ratios[-1]
+
+    reference: list[list[int]] = [[] for _ in range(n)]  # replayed prefix
     kept_adj: list[list[int]] = [[] for _ in range(n)]
+    mark = [-1] * n
     flags: list[bool] = []
     i, j = swap
     if prev is not None:
         for k in range(i):
             u, v = edges[k]
-            reference[u].add(v)
-            reference[v].add(u)
+            reference[u].append(v)
+            reference[v].append(u)
             if prev[k]:
                 kept_adj[u].append(v)
                 kept_adj[v].append(u)
         flags = list(prev[:i])
     for k in range(len(flags), len(edges)):
-        u, v = edges[k]
-        reference[u].add(v)
-        reference[v].add(u)
-        keep = (
-            not _levels_ok(u, reference[u], kept_adj, ratios)[0]
-            or not _levels_ok(v, reference[v], kept_adj, ratios)[0]
-        )
+        edge = edges[k]
+        u, v = edge
+        reference[u].append(v)
+        reference[v].append(u)
+        keep = False
+        shared = None  # the probe's answer, once it has run
+        for x in edge:
+            deg = len(reference[x])
+            if len(kept_adj[x]) * den1 < num1 * deg:
+                keep = True
+                break
+            old = deg - 1
+            for num, den in upper:
+                if -(-num * deg // den) != -(-num * old // den):
+                    break  # a threshold above level 1 rose
+            else:
+                continue  # none rose: the invariant's counts suffice
+            if shared is None:
+                shared = _share_kept_neighbor(kept_adj[u], kept_adj[v], mark, k)
+            if shared:
+                continue
+            if at_t2 and num_t * deg > den_t * old:
+                keep = True  # y is beyond 2 hops: level 2 counts at most old
+                break
+            if not _levels_ok(x, reference[x], kept_adj, ratios)[0]:
+                keep = True
+                break
         flags.append(keep)
         if keep:
             kept_adj[u].append(v)
@@ -256,12 +337,18 @@ def compress_basic(g: Graph, pf: ProportionFunction, order) -> CompressionResult
     """
     strategy = getattr(order, "strategy", "custom")
     seed = getattr(order, "seed", None)
+    lp_iterations = getattr(order, "lp_iterations", None)
     edges: Sequence[Edge] = getattr(order, "edges", order)
     _validate_ordering(g, edges)
 
     start = time.perf_counter()
     flags = _scan(g.n, edges, pf)
-    kept = frozenset(canonical_edge(u, v) for (u, v), keep in zip(edges, flags) if keep)
+    # canonical tuples of the order are shared, not rebuilt
+    kept = frozenset(
+        e if type(e) is tuple and e[0] < e[1] else canonical_edge(*e)
+        for e, keep in zip(edges, flags)
+        if keep
+    )
     seconds = time.perf_counter() - start
     return CompressionResult(
         kept=kept,
@@ -271,6 +358,7 @@ def compress_basic(g: Graph, pf: ProportionFunction, order) -> CompressionResult
         strategy=strategy,
         seed=seed,
         seconds=seconds,
+        lp_iterations=lp_iterations,
     )
 
 
@@ -282,9 +370,11 @@ def require_subgraph(g: Graph, gc: Graph) -> None:
     """
     if gc.n != g.n:
         raise ValueError(f"vertex count mismatch: {gc.n} != {g.n}")
-    for e in gc.edges():
-        if not g.has_edge(*e):
-            raise NotASubgraphError(e)
+    # the rows, not gc.edges(): a checked graph need not build its edge tuples
+    for u, neighbors in enumerate(gc.adjacency):
+        for v in neighbors:
+            if u < v and not g.has_edge(u, v):
+                raise NotASubgraphError((u, v))
 
 
 def verify(g: Graph, gc: Graph, pf: ProportionFunction) -> VerificationReport:

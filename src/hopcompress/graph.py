@@ -26,10 +26,11 @@ class Graph:
     """Simple undirected graph, immutable after construction.
 
     Safe for unlimited concurrent readers; every traversal owns its own
-    scratch state.
+    scratch state. The edge tuples are built on the first ``edges()``
+    call; concurrent first calls build equal tuples and one of them wins.
     """
 
-    __slots__ = ("n", "m", "adjacency", "labels")
+    __slots__ = ("n", "m", "adjacency", "labels", "_edges")
 
     def __init__(self, adjacency: Sequence[Iterable[int]], labels: Sequence[int] | None = None):
         adj = tuple(tuple(sorted(neighbors)) for neighbors in adjacency)
@@ -57,34 +58,40 @@ class Graph:
         if labels is not None and len(labels) != n:
             raise ValueError("labels must have one entry per vertex")
         object.__setattr__(self, "labels", tuple(labels) if labels is not None else None)
+        object.__setattr__(self, "_edges", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Edge], labels: Sequence[int] | None = None) -> Graph:
-        """Build a graph on ``n`` vertices from an iterable of edges."""
+        """Build a graph on ``n`` vertices from an iterable of edges.
+
+        A repeated edge is caught by the constructor's sorted-row check,
+        which names the smallest one, without a set of every edge.
+        """
         adjacency: list[list[int]] = [[] for _ in range(n)]
-        seen: set[Edge] = set()
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            e = canonical_edge(u, v)
-            if e in seen:
-                raise ValueError(f"duplicate edge {e}")
-            seen.add(e)
             adjacency[u].append(v)
             adjacency[v].append(u)
         return cls(adjacency, labels=labels)
 
     def edges(self) -> Iterator[Edge]:
-        """Yield canonical ``u < v`` edges in ascending order."""
-        for u, neighbors in enumerate(self.adjacency):
-            for v in neighbors:
-                if u < v:
-                    yield (u, v)
+        """Iterate canonical ``u < v`` edges in ascending order.
+
+        Every call serves the same tuples, so edge sets and orderings
+        built from them share their memory.
+        """
+        if self._edges is None:
+            edges = tuple(
+                (u, v) for u, neighbors in enumerate(self.adjacency) for v in neighbors if u < v
+            )
+            object.__setattr__(self, "_edges", edges)
+        return iter(self._edges)
 
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges())
@@ -162,14 +169,18 @@ def write_edge_list(g: Graph, out: IO[str]) -> None:
     """Write canonical ``u < v`` edges ascending, one per line.
 
     Original labels are emitted when the graph carries them (the label
-    map is ascending, so canonical order is preserved either way).
+    map is ascending, so canonical order is preserved either way). Walks
+    the rows rather than ``g.edges()``, so writing a graph does not build
+    its shared edge tuples.
     """
     labels = g.labels
-    for u, v in g.edges():
-        if labels is not None:
-            out.write(f"{labels[u]} {labels[v]}\n")
-        else:
-            out.write(f"{u} {v}\n")
+    for u, neighbors in enumerate(g.adjacency):
+        for v in neighbors:
+            if u < v:
+                if labels is not None:
+                    out.write(f"{labels[u]} {labels[v]}\n")
+                else:
+                    out.write(f"{u} {v}\n")
 
 
 def k_hop_neighbors(g: Graph, v: int, k: int) -> set[int]:

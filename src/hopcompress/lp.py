@@ -73,6 +73,7 @@ class LpSolution:
     status: str  # "optimal" | "iteration-limit"
     edge_values: dict[Edge, float] | None
     objective: float | None
+    iterations: int | None = None  # simplex pivots of an optimal solve
 
 
 def build_lp(
@@ -241,6 +242,7 @@ def solve_lp(model: LpModel, max_iterations: int | None = None) -> LpSolution:
         status="optimal",
         edge_values=edge_values,
         objective=float(result.objective),
+        iterations=result.iterations,
     )
 
 
@@ -258,7 +260,9 @@ def lp_order(g: Graph, pf: ProportionFunction, max_edges: int = DEFAULT_MAX_EDGE
         raise SizeLimitError("LP iteration limit reached; use the ec or random ordering")
     values = solution.edge_values
     ranked = sorted(values, key=lambda e: (-values[e], e))
-    return EdgeOrdering(edges=tuple(ranked), strategy="lp", seed=None)
+    return EdgeOrdering(
+        edges=tuple(ranked), strategy="lp", seed=None, lp_iterations=solution.iterations
+    )
 
 
 def dump_lp(model: LpModel) -> str:

@@ -118,6 +118,22 @@ class TestCompress:
         assert payload["strategy"] == "sa"
         assert payload["kept"] == 2
 
+    def test_report_keys_and_lp_iterations(self, zachary_file, tmp_path, capsys):
+        documented = {
+            "input", "n", "m", "kept", "ratio", "ratio_exact", "p", "t", "strategy", "seed",
+            "seconds", "verified",
+        }
+        reports = {}
+        for ordering in ("lp", "random"):
+            path = tmp_path / f"{ordering}.json"
+            args = ["compress", zachary_file, "--p", "1/2,1", "--ordering", ordering]
+            assert main(args + ["--report", str(path)]) == 0
+            reports[ordering] = json.loads(path.read_text())
+        capsys.readouterr()
+        assert set(reports["lp"]) == documented | {"lp_iterations"}
+        assert reports["lp"]["lp_iterations"] > 0
+        assert set(reports["random"]) == documented
+
     def test_lp_iteration_limit_is_config_error(self, triangle_file, lp_iteration_limit, capsys):
         code = main(["compress", triangle_file, "--p", "1", "--ordering", "lp"])
         assert code == 1
@@ -234,6 +250,20 @@ class TestBench:
         err = capsys.readouterr().err
         assert "LP iteration limit reached; use the ec or random ordering" in err
         assert "Traceback" not in err
+
+    def test_jobs_do_not_change_the_report(self, tmp_path, capsys):
+        payloads = []
+        for jobs in ("1", "2"):
+            path = tmp_path / f"jobs{jobs}.json"
+            args = ["bench", "--family", "9,16,4", "--p", "0,1/2", "--strategies", "basic,lp,ec,sa"]
+            args += ["--sa-iters", "40", "--seed", "3", "--jobs", jobs, "--report", str(path)]
+            assert main(args) == 0
+            payload = json.loads(path.read_text())
+            for row in payload["strategies"]:
+                row.pop("mean_seconds")
+            payloads.append(json.dumps(payload, sort_keys=True))
+        capsys.readouterr()
+        assert payloads[0] == payloads[1]
 
     def test_bad_family_string(self):
         assert main(["bench", "--family", "8,12", "--p", "1"]) == 1

@@ -14,8 +14,46 @@ from hopcompress import (
     random_order,
     verify,
 )
+from hopcompress.compress import _levels_ok, _scan
 
 from conftest import oracle_satisfies, oracle_violations, proportion_functions, small_graphs
+
+# thresholds that stay flat (p=0), always rise (p=1), or rise unevenly
+# with the degree (1/3, 2/3), at t = 1, 2 and 3
+EDGE_CASE_PROPORTIONS = [
+    ProportionFunction.parse(text)
+    for text in ("1", "1/2", "0,1", "1/2,1", "1,1", "0,1/2", "1/3,2/3,1", "0,0,1", "1/3,1/3,2/3")
+]
+
+
+def reference_scan(n, edges, pf):
+    """The scan with one depth-t BFS per endpoint per edge and nothing else."""
+    ratios = [(p.numerator, p.denominator) for p in pf.props]
+    reference = [set() for _ in range(n)]
+    kept_adj = [[] for _ in range(n)]
+    flags = []
+    for u, v in edges:
+        reference[u].add(v)
+        reference[v].add(u)
+        keep = (
+            not _levels_ok(u, reference[u], kept_adj, ratios)[0]
+            or not _levels_ok(v, reference[v], kept_adj, ratios)[0]
+        )
+        flags.append(keep)
+        if keep:
+            kept_adj[u].append(v)
+            kept_adj[v].append(u)
+    return flags
+
+
+@st.composite
+def scan_cases(draw):
+    """A graph, an order of its edges (either orientation) and a p function."""
+    g = draw(small_graphs(max_n=10))
+    shuffled = random_order(g, draw(st.integers(0, 2**16))).edges
+    order = [e if draw(st.booleans()) else e[::-1] for e in shuffled]
+    pf = draw(st.one_of(st.sampled_from(EDGE_CASE_PROPORTIONS), proportion_functions()))
+    return g, order, pf
 
 
 class TestProportionFunction:
@@ -80,6 +118,31 @@ class TestCompressBasic:
         result = compress_basic(diamond, pf, order)
         assert result.kept_count() == 3
 
+    @pytest.mark.parametrize(
+        "order",
+        [
+            [(0, 1), (0, 2), (0, 1)],  # duplicate
+            [(0, 1), (0, 2), (1, 1)],  # self-loop, not an edge
+            [(0, 1), (0, 2), (0, 3)],  # non-edge
+            [(0, 1), (0, 2)],  # too short
+            [(0, 1), (0, 2), (1, 2), (1, 2)],  # too long
+            [(0, 1), (0, 2), (1, 7)],  # vertex out of range
+            [(0, 1), (0, 2), (-1, 2)],  # negative vertex
+        ],
+    )
+    def test_rejects_bad_ordering(self, order):
+        g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)])
+        with pytest.raises(InvalidOrderingError, match="not a permutation"):
+            compress_basic(g, ProportionFunction.parse("1"), order)
+
+    def test_accepts_reversed_edges(self, diamond):
+        pf = ProportionFunction.parse("1/2,1")
+        order = [(2, 1), (1, 0), (3, 2), (0, 2), (3, 1)]
+        reversed_kept = compress_basic(diamond, pf, order).kept
+        canonical = [(min(e), max(e)) for e in order]
+        assert reversed_kept == compress_basic(diamond, pf, canonical).kept
+        assert all(u < v for u, v in reversed_kept)
+
     def test_rejects_non_permutation(self, triangle):
         with pytest.raises(InvalidOrderingError):
             compress_basic(triangle, ProportionFunction.parse("1"), [(0, 1)])
@@ -108,6 +171,16 @@ class TestCompressBasic:
         # kept-edge lower bound, exact arithmetic
         assert Fraction(result.kept_count()) >= pf.props[0] * g.m
 
+    @settings(max_examples=100, deadline=None)
+    @given(g=small_graphs(), pf=proportion_functions(), seed=..., data=st.data())
+    def test_kept_set_follows_a_vertex_relabeling(self, g, pf, seed: int, data):
+        label = data.draw(st.permutations(range(g.n)))
+        order = random_order(g, seed).edges
+        relabeled = Graph.from_edges(g.n, [(label[u], label[v]) for u, v in g.edges()])
+        moved = compress_basic(relabeled, pf, [(label[u], label[v]) for u, v in order]).kept
+        kept = compress_basic(g, pf, order).kept
+        assert moved == {(min(label[u], label[v]), max(label[u], label[v])) for u, v in kept}
+
     @settings(max_examples=60, deadline=None)
     @given(g=small_graphs(min_n=3), seed=...)
     def test_spanner_case_bridges_every_removed_edge(self, g, seed: int):
@@ -119,6 +192,39 @@ class TestCompressBasic:
         for u, v in g.edges():
             if (u, v) not in result.kept:
                 assert oracle_distances(gc, u).get(v, 10**9) <= 3
+
+
+class TestScan:
+    """``_scan`` decides most steps without a BFS; its flags must not move."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=scan_cases())
+    def test_flags_match_bfs_reference(self, case):
+        g, order, pf = case
+        assert _scan(g.n, order, pf) == reference_scan(g.n, order, pf)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=scan_cases(), data=st.data())
+    def test_swap_replay_matches_bfs_reference(self, case, data):
+        g, order, pf = case
+        if len(order) < 2:
+            return
+        positions = st.lists(st.integers(0, len(order) - 1), min_size=2, max_size=2, unique=True)
+        i, j = sorted(data.draw(positions))
+        prev = reference_scan(g.n, order, pf)
+        order[i], order[j] = order[j], order[i]
+        assert _scan(g.n, order, pf, prev, (i, j)) == reference_scan(g.n, order, pf)
+
+    @pytest.mark.parametrize("pf", EDGE_CASE_PROPORTIONS, ids=str)
+    def test_flags_match_bfs_reference_on_clustered_graphs(self, pf):
+        from hopcompress import gen_gnm
+
+        for seed in range(6):
+            # dense G(n, m) plus a hub, so every shortcut and the BFS fallback run
+            base = gen_gnm(16, 45, seed)
+            g = Graph.from_edges(17, list(base.edges()) + [(16, v) for v in range(0, 16, 2)])
+            order = list(random_order(g, seed).edges)
+            assert _scan(g.n, order, pf) == reference_scan(g.n, order, pf)
 
 
 class TestVerify:

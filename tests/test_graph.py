@@ -66,8 +66,10 @@ class TestGraphInvariants:
             Graph.from_edges(2, [(0, 0)])
 
     def test_rejects_duplicate(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"duplicate edge \(0, 1\)"):
             Graph.from_edges(2, [(0, 1), (1, 0)])
+        with pytest.raises(ValueError, match=r"duplicate edge \(1, 2\)"):
+            Graph.from_edges(4, [(2, 3), (2, 1), (1, 2), (3, 2)])
 
     def test_rejects_asymmetric_adjacency(self):
         with pytest.raises(ValueError):
@@ -94,8 +96,23 @@ class TestGraphInvariants:
 
     def test_immutable(self):
         g = Graph.from_edges(2, [(0, 1)])
-        with pytest.raises(AttributeError):
-            g.n = 5
+        list(g.edges())
+        for name in ("n", "adjacency", "_edges"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, None)
+        assert list(g.edges()) == [(0, 1)]
+
+    @settings(max_examples=50, deadline=None)
+    @given(g=small_graphs(max_n=9))
+    def test_edges_are_canonical_ascending_and_shared(self, g):
+        expected = [(u, v) for u, nbrs in enumerate(g.adjacency) for v in nbrs if u < v]
+        first, second = list(g.edges()), list(g.edges())
+        assert first == second == expected
+        assert all(type(e) is tuple for e in first)
+        assert all(a is b for a, b in zip(first, second))
+        # equality and hashing ignore the edge tuples built on demand
+        fresh = Graph(g.adjacency)
+        assert fresh == g and hash(fresh) == hash(g)
 
     def test_handshaking(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])

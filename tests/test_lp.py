@@ -120,6 +120,13 @@ class TestSolveLp:
         assert solution.objective == pytest.approx(42.01373626373628, abs=1e-9)
         assert lp_order(builtin("zachary"), pf).edges == ZACHARY_LP_ORDER
 
+    def test_iterations_kept(self):
+        model = build_lp(builtin("zachary"), ProportionFunction.parse("1/2,1"))
+        solution = solve_lp(model)
+        assert solution.iterations > 0
+        capped = solve_lp(model, max_iterations=1)
+        assert capped.status == "iteration-limit" and capped.iterations is None
+
     def test_witness_breaking_a_row_rejected(self):
         # x_0_1 <= 0 cannot hold at a witness with x_0_1 = 1
         model = LpModel(
