@@ -25,7 +25,7 @@ from .evaluate import (
     stretch_check,
 )
 from .graph import Graph, canonical_edge, load_edge_list, write_edge_list
-from .orderings import SaParams
+from .orderings import STRATEGIES, SaParams
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -279,9 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compress = sub.add_parser("compress", help="compress a graph", add_help=True)
     p_compress.add_argument("input", help="edge-list file or builtin name")
     p_compress.add_argument("--p", required=True, help='proportions, e.g. "0.5,1" or "1/2,1"')
-    p_compress.add_argument(
-        "--ordering", default="random", choices=["random", "basic", "basic-random", "lp", "ec", "sa"]
-    )
+    p_compress.add_argument("--ordering", default="random", choices=list(STRATEGIES))
     p_compress.add_argument("--seed", type=int, default=0)
     p_compress.add_argument("-o", "--output", help="write the kept edge list here")
     p_compress.add_argument("--report", help="write the JSON run report here")

@@ -15,9 +15,9 @@ from .compress import CompressionResult, ProportionFunction, compress_basic, req
 from .datagen import FamilySpec, gen_gnm
 from .errors import SizeLimitError
 from .graph import Graph, hop_distance
-from .orderings import SaParams, order_for, sa_compress
+from .orderings import STRATEGIES, SaParams, order_for, sa_compress
 
-STRATEGY_NAMES = ("basic-random", "lp", "ec", "sa")
+STRATEGY_NAMES = tuple(dict.fromkeys(STRATEGIES.values()))
 
 BRUTE_FORCE_EDGE_LIMIT = 20
 
@@ -172,11 +172,9 @@ class BenchReport:
 
 
 def normalize_strategy(name: str) -> str:
-    alias = {"basic": "basic-random", "random": "basic-random"}
-    canonical = alias.get(name, name)
-    if canonical not in STRATEGY_NAMES:
+    if name not in STRATEGIES:
         raise ValueError(f"unknown strategy {name!r}; choose from {STRATEGY_NAMES}")
-    return canonical
+    return STRATEGIES[name]
 
 
 def run_strategy(
@@ -196,7 +194,7 @@ def run_strategy(
         params = dataclasses.replace(sa_params or SaParams(), seed=seed)
         return sa_compress(g, pf, params)
     start = time.perf_counter()
-    ordering = order_for(g, pf, "random" if strategy == "basic-random" else strategy, seed)
+    ordering = order_for(g, pf, strategy, seed)
     result = compress_basic(g, pf, ordering)
     return dataclasses.replace(result, seconds=time.perf_counter() - start)
 

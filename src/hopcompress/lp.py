@@ -177,14 +177,21 @@ def build_lp(
 
 
 def _assert_witness_feasible(model: LpModel) -> None:
-    """The all-edges-kept point must satisfy every row (exact arithmetic)."""
-    value = dict.fromkeys(model.witness_at_upper, Fraction(1))
+    """The all-edges-kept point must satisfy every row, exactly.
+
+    Every coefficient is +-1.0 and every witness value 1, so each
+    left-hand side is a small integer summed without rounding, and the
+    float comparison with the rhs is exact.
+    """
+    at_upper = set(model.witness_at_upper)
     for row in model.rows:
-        lhs = sum(Fraction(c) * value.get(var, Fraction(0)) for var, c in row.coeffs)
-        rhs = Fraction(row.rhs)
-        ok = lhs <= rhs if row.sense == "<=" else lhs >= rhs
+        lhs = sum(c for var, c in row.coeffs if var in at_upper)
+        ok = lhs <= row.rhs if row.sense == "<=" else lhs >= row.rhs
         if not ok:
-            raise AssertionError(f"witness violates {row.tag} row: {lhs} {row.sense} {rhs}")
+            raise AssertionError(
+                f"witness violates {row.tag} row: "
+                f"{Fraction(lhs)} {row.sense} {Fraction(row.rhs)}"
+            )
 
 
 def solve_lp(model: LpModel, max_iterations: int | None = None) -> LpSolution:
@@ -193,7 +200,9 @@ def solve_lp(model: LpModel, max_iterations: int | None = None) -> LpSolution:
     The simplex starts from the model's witness point, which
     :func:`build_lp` has checked in exact arithmetic; a hand-built model
     whose witness breaks a row raises ValueError. Constraint residuals
-    of an optimal answer are re-checked within 1e-7.
+    of an optimal answer are re-checked within 1e-7: tiny pivots can
+    leave a row broken, and that raises :class:`SizeLimitError`, as the
+    iteration limit does in :func:`lp_order`.
     """
     n = model.num_vars
     # coverage rows asking for nothing (p(i) = 0) hold trivially since
@@ -231,11 +240,12 @@ def solve_lp(model: LpModel, max_iterations: int | None = None) -> LpSolution:
     residual_tol = 1e-7
     lhs = a @ x
     for i, sense in enumerate(senses):
-        gap = lhs[i] - rhs[i]
-        if sense == "<=" and gap > residual_tol:
-            raise AssertionError(f"row {i} violated by {gap:g}")
-        if sense == ">=" and gap < -residual_tol:
-            raise AssertionError(f"row {i} violated by {-gap:g}")
+        gap = lhs[i] - rhs[i] if sense == "<=" else rhs[i] - lhs[i]
+        if gap > residual_tol:
+            raise SizeLimitError(
+                f"LP solution violates row {i} by {gap:g} (numerical trouble in "
+                "the simplex); use the ec or random ordering"
+            )
 
     edge_values = {e: float(x[i]) for i, e in enumerate(model.edges)}
     return LpSolution(
@@ -249,8 +259,9 @@ def solve_lp(model: LpModel, max_iterations: int | None = None) -> LpSolution:
 def lp_order(g: Graph, pf: ProportionFunction, max_edges: int = DEFAULT_MAX_EDGES, max_t: int = DEFAULT_MAX_T):
     """Edges sorted by descending relaxation score, ties by canonical id.
 
-    Raises :class:`SizeLimitError` past the size guards of :func:`build_lp`
-    or when the simplex hits its iteration cap.
+    Raises :class:`SizeLimitError` past the size guards of :func:`build_lp`,
+    when the simplex hits its iteration cap, or when its answer breaks a
+    row (see :func:`solve_lp`).
     """
     from .orderings import EdgeOrdering
 

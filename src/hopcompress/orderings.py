@@ -17,6 +17,17 @@ from dataclasses import dataclass
 from .compress import CompressionResult, ProportionFunction, _scan, compress_basic
 from .graph import Edge, Graph, enumerate_simple_paths
 
+# every accepted strategy name -> its canonical name; the CLI choices,
+# evaluate.normalize_strategy and order_for all read this table
+STRATEGIES = {
+    "random": "basic-random",
+    "basic": "basic-random",
+    "basic-random": "basic-random",
+    "lp": "lp",
+    "ec": "ec",
+    "sa": "sa",
+}
+
 
 @dataclass(frozen=True)
 class EdgeOrdering:
@@ -148,12 +159,17 @@ def order_for(
     strategy: str,
     seed: int = 0,
 ) -> EdgeOrdering:
-    """Build the named deterministic-or-seeded ordering ("random" | "ec" | "lp")."""
-    if strategy in ("random", "basic", "basic-random"):
+    """Build the named deterministic-or-seeded ordering ("random" | "ec" | "lp").
+
+    Any name of :data:`STRATEGIES` but "sa", which is a search rather than
+    an ordering, is accepted.
+    """
+    canonical = STRATEGIES.get(strategy)
+    if canonical == "basic-random":
         return random_order(g, seed)
-    if strategy == "ec":
+    if canonical == "ec":
         return ec_order(g, pf.t)
-    if strategy == "lp":
+    if canonical == "lp":
         from .lp import lp_order
 
         return lp_order(g, pf)

@@ -13,6 +13,17 @@ the iterate stalls on degenerate pivots so cycling is impossible. An
 entering variable that reaches its other bound before any basic
 variable blocks flips bounds without a basis change.
 
+The tableau is stored transposed, ``t[j]`` being column j, so the rank-1
+update of a pivot rewrites whole contiguous rows: the columns whose
+pivot-row entry exceeds 1e-13, or every column when most are nonzero.
+Entering-column entries up to 1e-13 count as zero. Every nonzero entry
+gets the same floating-point operations as in a row-major tableau; only
+the sign of an exact zero can differ.
+
+Pivots as small as 1e-9 are accepted, so on some models the optimum
+breaks a row by more than the tolerance; :func:`hopcompress.lp.solve_lp`
+re-checks every row and reports that as ``SizeLimitError``.
+
 Adequate for the few-hundred-row models :mod:`hopcompress.lp` builds;
 not a general-purpose LP code.
 """
@@ -85,8 +96,9 @@ class _Tableau:
         self.n_struct = n
         self.tol = tol
         self.eps_pivot = 1e-9
-        # each row scaled so its slack has coefficient +1: the slack basis is the identity
-        self.t = np.hstack([a, np.diag(signs)]) / signs[:, None]
+        # t[j] is column j; each constraint is scaled so its slack has
+        # coefficient +1, which makes the slack basis the identity
+        self.t = np.vstack([a.T, np.diag(signs)]) / signs
         self.c_struct = c
         self.up = np.concatenate([upper, np.full(m, np.inf)])
         self.movable = self.up > tol
@@ -101,8 +113,9 @@ class _Tableau:
         self.iterations = 0
 
     def run(self) -> SimplexResult:
+        # the slack basis costs nothing, so the reduced costs start as the costs
         costs = np.concatenate([self.c_struct, np.zeros(self.m)])
-        if not self._iterate(costs - costs[self.basis] @ self.t):
+        if not self._iterate(costs):
             return SimplexResult("iteration-limit", None, None, self.iterations)
         x = np.where(self.status == _AT_UPPER, self.up, 0.0)
         x[self.basis] = np.clip(self.xb, 0.0, self.up[self.basis])
@@ -123,12 +136,12 @@ class _Tableau:
             theta, leave_row, leave_to_upper = self._ratio_test(q, direction, bland)
             if leave_row < 0:
                 # bound flip: no basis change
-                self.xb -= theta * direction * self.t[:, q]
+                self.xb -= theta * direction * self.t[q]
                 self.status[q] = _AT_UPPER if self.status[q] == _AT_LOWER else _AT_LOWER
             else:
                 self._pivot(leave_row, q, theta, direction, leave_to_upper)
                 z_q = z[q]
-                z -= z_q * self.t[leave_row]
+                z -= z_q * self.t[:, leave_row]
                 z[q] = 0.0
             self.iterations += 1
             if theta <= self.eps_pivot:
@@ -152,7 +165,7 @@ class _Tableau:
         return q, direction
 
     def _ratio_test(self, q, direction, bland):
-        alpha = direction * self.t[:, q]
+        alpha = direction * self.t[q]
         limit = self.up[q]  # bound-flip step
         theta_rows = np.full(self.m, np.inf)
         pos = alpha > self.eps_pivot
@@ -184,24 +197,26 @@ class _Tableau:
             0.0 if self.status[q] == _AT_LOWER else self.up[q]
         ) + direction * theta
         if theta:
-            self.xb -= theta * direction * self.t[:, q]
+            self.xb -= theta * direction * self.t[q]
         leaving = self.basis[row]
         self.status[leaving] = _AT_UPPER if leave_to_upper else _AT_LOWER
         self.basis[row] = q
         self.status[q] = _BASIC
         t = self.t
-        t[row] /= t[row, q]
-        prow = t[row].copy()
-        col = t[:, q].copy()
+        t[:, row] /= t[q, row]
+        prow = t[:, row].copy()
+        col = t[q].copy()
         col[row] = 0.0
-        # rank-1 elimination restricted to the nonzero pattern
-        rows_nz = np.nonzero(np.abs(col) > 1e-13)[0]
-        if rows_nz.size:
+        # rank-1 elimination over the constraints with |col| > 1e-13: the
+        # others subtract an exact zero, which leaves their entries unchanged
+        col[np.abs(col) <= 1e-13] = 0.0
+        n_rows = np.count_nonzero(col)
+        if n_rows:
             cols_nz = np.nonzero(np.abs(prow) > 1e-13)[0]
-            if rows_nz.size * cols_nz.size * 2 < t.size:
-                t[np.ix_(rows_nz, cols_nz)] -= np.outer(col[rows_nz], prow[cols_nz])
+            if n_rows * cols_nz.size * 2 < t.size:
+                t[cols_nz] -= np.multiply.outer(prow[cols_nz], col)
             else:
-                t[rows_nz] -= np.outer(col[rows_nz], prow)
-        t[:, q] = 0.0
-        t[row, q] = 1.0
+                t -= np.multiply.outer(prow, col)
+        t[q] = 0.0
+        t[q, row] = 1.0
         self.xb[row] = entering_value

@@ -10,10 +10,12 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from hopcompress import Graph, ProportionFunction, Violation
+from hopcompress.simplex import SimplexResult
 
 
 def recursive_simple_paths(g: Graph, u: int, v: int, max_len: int) -> list[tuple[int, ...]]:
@@ -105,3 +107,13 @@ def triangle():
 @pytest.fixture
 def diamond():
     return Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+
+
+@pytest.fixture
+def lp_broken_row(monkeypatch):
+    """The simplex answers "optimal" with every variable 0, which breaks
+    each coverage row that asks for something."""
+    monkeypatch.setattr(
+        "hopcompress.lp.solve_bounded_lp",
+        lambda c, *args, **kwargs: SimplexResult("optimal", np.zeros(len(c)), 0.0, 1),
+    )

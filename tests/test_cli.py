@@ -141,6 +141,13 @@ class TestCompress:
         assert "LP iteration limit reached; use the ec or random ordering" in err
         assert "Traceback" not in err
 
+    def test_lp_broken_row_is_config_error(self, triangle_file, lp_broken_row, capsys):
+        code = main(["compress", triangle_file, "--p", "1", "--ordering", "lp"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: LP solution violates row ")
+        assert "use the ec or random ordering" in err and "Traceback" not in err
+
 
 class TestVerify:
     def test_roundtrip_after_compress(self, zachary_file, tmp_path, capsys):
@@ -250,6 +257,13 @@ class TestBench:
         err = capsys.readouterr().err
         assert "LP iteration limit reached; use the ec or random ordering" in err
         assert "Traceback" not in err
+
+    def test_lp_broken_row_is_config_error(self, lp_broken_row, capsys):
+        code = main(["bench", "--family", "10,15,2", "--p", "1", "--strategies", "lp", "--jobs", "1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: LP solution violates row ")
+        assert "use the ec or random ordering" in err and "Traceback" not in err
 
     def test_jobs_do_not_change_the_report(self, tmp_path, capsys):
         payloads = []

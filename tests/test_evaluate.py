@@ -209,3 +209,24 @@ class TestBench:
         family = FamilySpec(count=1, n=4, m=3, seed=0)
         with pytest.raises(ValueError, match="unknown strategy"):
             bench_orderings(family, ProportionFunction.parse("1"), ["zigzag"])
+
+
+class TestStrategyRegistry:
+    def test_every_entry_point_reads_one_table(self, triangle, capsys):
+        from hopcompress.cli import main
+        from hopcompress.evaluate import STRATEGY_NAMES, normalize_strategy
+        from hopcompress.orderings import STRATEGIES, order_for
+
+        assert main(["compress", "--help"]) == 0
+        assert "{random,basic,basic-random,lp,ec,sa}" in capsys.readouterr().out
+        assert list(STRATEGIES) == ["random", "basic", "basic-random", "lp", "ec", "sa"]
+        assert STRATEGY_NAMES == ("basic-random", "lp", "ec", "sa")
+        pf = ProportionFunction.parse("1")
+        for name, canonical in STRATEGIES.items():
+            assert normalize_strategy(name) == canonical
+            if canonical != "sa":
+                assert order_for(triangle, pf, name).strategy == canonical.replace("basic-", "")
+        with pytest.raises(ValueError, match=r"unknown strategy 'zigzag'; choose from \('basic-random', 'lp', 'ec', 'sa'\)"):
+            normalize_strategy("zigzag")
+        with pytest.raises(ValueError, match="unknown ordering strategy 'sa'"):
+            order_for(triangle, pf, "sa")

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 
@@ -11,6 +13,7 @@ from hopcompress import (
     builtin,
     compress_basic,
     dump_lp,
+    gen_gnm,
     lp_order,
     solve_lp,
     verify,
@@ -31,6 +34,16 @@ ZACHARY_LP_ORDER = (
     (18, 33), (2, 32), (2, 3), (2, 7), (2, 13), (1, 2), (23, 29), (23, 32), (26, 33),
     (29, 32), (8, 30), (30, 33), (8, 33), (0, 13), (0, 2), (0, 7), (1, 3),
 )
+
+
+# family-g20 seed-0 instances gen_gnm(20, 60, seed) at p=0,1/2, recorded
+# from the row-major tableau: objective (float.hex), simplex pivots, and the
+# SHA-256 of repr(lp_order(...).edges)
+FAMILY_LP_FINGERPRINTS = {
+    1000: ("0x1.ba95222a51fd0p+3", 528, "7cd96faa3c46602b3af0075cfc20c597d12795c5821a1a5b20f195d8a5ef4272"),
+    1001: ("0x1.9351fdfd86a34p+3", 584, "3455724227de243179104003b4e7fd16774e8879370c3e1641232e35dff382bf"),
+    1002: ("0x1.6682050faa10cp+3", 994, "c7c6b1460e3b1f3333b526b2b28ca4cc313cfae12af8410fe269447026f1a209"),
+}
 
 
 def row_tags(model):
@@ -126,6 +139,19 @@ class TestSolveLp:
         assert solution.iterations > 0
         capped = solve_lp(model, max_iterations=1)
         assert capped.status == "iteration-limit" and capped.iterations is None
+
+    @pytest.mark.parametrize("seed", sorted(FAMILY_LP_FINGERPRINTS))
+    def test_family_fingerprints(self, seed):
+        g, pf = gen_gnm(20, 60, seed), ProportionFunction.parse("0,1/2")
+        solution = solve_lp(build_lp(g, pf))
+        digest = hashlib.sha256(repr(lp_order(g, pf).edges).encode()).hexdigest()
+        assert (solution.objective.hex(), solution.iterations, digest) == FAMILY_LP_FINGERPRINTS[seed]
+
+    def test_broken_row_is_a_size_limit(self, lp_broken_row):
+        # the all-zero answer leaves coverage row 2 (vertex 0's flow >= 1) short by 1
+        g = Graph.from_edges(2, [(0, 1)])
+        with pytest.raises(SizeLimitError, match=r"violates row 2 by 1 .*use the ec or random ordering"):
+            lp_order(g, ProportionFunction.parse("1"))
 
     def test_witness_breaking_a_row_rejected(self):
         # x_0_1 <= 0 cannot hold at a witness with x_0_1 = 1
