@@ -107,7 +107,7 @@ class CompressionResult:
     strategy: str
     seed: int | None
     seconds: float
-    lp_iterations: int | None = None  # simplex pivots behind an "lp" order
+    lp_iterations: int | None = None  # HiGHS simplex iterations behind an "lp" order
 
     def kept_count(self) -> int:
         return len(self.kept)

@@ -3,27 +3,39 @@
 One variable x_e per edge says how much the edge is worth keeping; one
 variable f_w per bounded-length simple path between the endpoints of an
 edge carries "flow" certifying that those endpoints stay close. The
-relaxation allows fractional values in [0, 1]; solving it and sorting
-edges by descending x_e yields the ordering fed to the compressor.
+relaxation allows fractional values in [0, 1]. :func:`solve_lp` solves
+it with the dual revised simplex of HiGHS (Huangfu & Hall, Math. Prog.
+Comp. 2018), whose extension module scipy ships; it is loaded on the
+first solve, without importing ``scipy.optimize``. Sorting edges by
+descending x_e, snapped to a 1e-9 grid, with ties broken by canonical
+edge, yields the ordering fed to the compressor.
 
-Intended for small graphs (size guards below); larger inputs should use
-the edge-connectivity or random orderings instead.
+Intended for small graphs (size guards below: edges, t, and the number
+of path variables); larger inputs should use the edge-connectivity or
+random orderings instead.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import pathlib
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from .compress import ProportionFunction
 from .errors import SizeLimitError
 from .graph import Edge, Graph, Path, enumerate_simple_paths
-from .simplex import solve_bounded_lp
 
 DEFAULT_MAX_EDGES = 5000
 DEFAULT_MAX_T = 3
+# HiGHS needs ~18 s for the 13 195 paths of K_14 at t=3 and ~12 s for
+# the 4 877 of G(40,200); K_60 at t=3 would ask for ~6M paths
+MAX_PATH_VARS = 10_000
 
 
 @dataclass(frozen=True)
@@ -73,7 +85,7 @@ class LpSolution:
     status: str  # "optimal" | "iteration-limit"
     edge_values: dict[Edge, float] | None
     objective: float | None
-    iterations: int | None = None  # simplex pivots of an optimal solve
+    iterations: int | None = None  # HiGHS simplex iterations of an optimal solve
 
 
 def build_lp(
@@ -88,7 +100,9 @@ def build_lp(
     pair, one "one-route-per-edge" row per edge, and one "coverage" row
     per (vertex with neighbors, hop level). Raises
     :class:`SizeLimitError` beyond the size guards, where the
-    edge-connectivity or random orderings are the sensible choice.
+    edge-connectivity or random orderings are the sensible choice: more
+    than ``max_edges`` edges, ``t`` above ``max_t``, or more than
+    :data:`MAX_PATH_VARS` path variables, counted as they are enumerated.
     """
     if g.m > max_edges:
         raise SizeLimitError(
@@ -113,6 +127,11 @@ def build_lp(
         paths_per_edge.append(group)
         f_index.append(list(range(next_var, next_var + len(group))))
         next_var += len(group)
+        if next_var - len(edges) > MAX_PATH_VARS:
+            raise SizeLimitError(
+                f"more than {MAX_PATH_VARS} paths of at most {t} edges exceed the LP "
+                "guard; use the ec or random ordering instead"
+            )
 
     rows: list[LpRow] = []
     for k, group in enumerate(paths_per_edge):
@@ -195,73 +214,204 @@ def _assert_witness_feasible(model: LpModel) -> None:
 
 
 def solve_lp(model: LpModel, max_iterations: int | None = None) -> LpSolution:
-    """Solve the relaxation; deterministic for a fixed model.
+    """Solve the relaxation with HiGHS's dual simplex; deterministic for a fixed model.
 
-    The simplex starts from the model's witness point, which
-    :func:`build_lp` has checked in exact arithmetic; a hand-built model
-    whose witness breaks a row raises ValueError. Constraint residuals
-    of an optimal answer are re-checked within 1e-7: tiny pivots can
-    leave a row broken, and that raises :class:`SizeLimitError`, as the
-    iteration limit does in :func:`lp_order`.
+    The solver options are fixed (one thread, no presolve, serial dual
+    simplex, a fixed random seed), so one model always gives the same
+    answer. A hand-built model whose witness point breaks a row, or
+    with a row sense other than ``<=`` or ``>=``, raises ValueError. An
+    optimal answer is re-checked against every row within 1e-7, and a
+    broken row raises :class:`SizeLimitError`, as does any HiGHS status
+    other than optimal and the iteration limit. A model without
+    variables (an edgeless graph) is optimal at zero.
+
+    ``edge_values`` holds each x_e clipped to [0, 1] and rounded to 9
+    decimals, so solutions equal up to solver noise rank edges alike;
+    ``objective`` is HiGHS's unrounded objective and ``iterations`` its
+    simplex iteration count.
     """
     n = model.num_vars
-    # coverage rows asking for nothing (p(i) = 0) hold trivially since
-    # every variable is non-negative; keep them out of the tableau
-    active = [
-        row
-        for row in model.rows
-        if not (row.sense == ">=" and row.rhs <= 0.0)
-    ]
-    m = len(active)
-    a = np.zeros((m, n))
-    senses = []
-    rhs = np.zeros(m)
-    for i, row in enumerate(active):
-        for var, coeff in row.coeffs:
-            a[i, var] = coeff
-        senses.append(row.sense)
-        rhs[i] = row.rhs
-    c = np.zeros(n)
-    c[: len(model.edges)] = 1.0
+    rows = _active_rows(model)
 
-    result = solve_bounded_lp(
-        c,
-        a,
-        senses,
-        rhs,
-        np.ones(n),
-        model.witness_at_upper,
-        max_iterations=max_iterations,
-    )
-    if result.status == "iteration-limit":
+    witness = np.zeros(n)
+    witness[list(model.witness_at_upper)] = 1.0
+    row, gap = _worst_row(rows, witness)
+    if gap > 0.0:
+        raise ValueError(f"witness point violates row {rows.source[row]} by {gap:g}")
+
+    costs = np.zeros(n)
+    costs[: len(model.edges)] = 1.0
+    status, x, objective, iterations = _highs_solve(costs, rows, max_iterations)
+    if status == "iteration-limit":
         return LpSolution(status="iteration-limit", edge_values=None, objective=None)
 
-    x = np.clip(result.x, 0.0, 1.0)
-    residual_tol = 1e-7
-    lhs = a @ x
-    for i, sense in enumerate(senses):
-        gap = lhs[i] - rhs[i] if sense == "<=" else rhs[i] - lhs[i]
-        if gap > residual_tol:
-            raise SizeLimitError(
-                f"LP solution violates row {i} by {gap:g} (numerical trouble in "
-                "the simplex); use the ec or random ordering"
-            )
+    row, gap = _worst_row(rows, x)
+    if gap > 1e-7:
+        raise SizeLimitError(
+            f"LP solution violates row {rows.source[row]} by {gap:g} (numerical trouble in "
+            "the solver); use the ec or random ordering"
+        )
 
-    edge_values = {e: float(x[i]) for i, e in enumerate(model.edges)}
+    edge_values = {
+        e: round(min(max(float(x[i]), 0.0), 1.0), 9) for i, e in enumerate(model.edges)
+    }
     return LpSolution(
-        status="optimal",
-        edge_values=edge_values,
-        objective=float(result.objective),
-        iterations=result.iterations,
+        status="optimal", edge_values=edge_values, objective=objective, iterations=iterations
     )
+
+
+class _Rows(NamedTuple):
+    """Constraint rows as (row, column, value) triplets with row bounds."""
+
+    row_of: np.ndarray
+    col: np.ndarray
+    coeff: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    source: list[int]  # index in ``LpModel.rows`` of each row
+
+
+def _active_rows(model: LpModel) -> _Rows:
+    """The rows HiGHS sees.
+
+    Coverage rows asking for nothing (p(i) = 0) hold trivially since
+    every variable is non-negative, so they are left out. A sense other
+    than ``<=`` or ``>=`` raises ValueError.
+    """
+    for r in model.rows:
+        if r.sense not in ("<=", ">="):
+            raise ValueError(f"unsupported sense {r.sense!r}; rows must be <= or >=")
+    source = [
+        i for i, r in enumerate(model.rows) if not (r.sense == ">=" and r.rhs <= 0.0)
+    ]
+    row_of, col, coeff = [], [], []
+    for k, i in enumerate(source):
+        for var, c in model.rows[i].coeffs:
+            row_of.append(k)
+            col.append(var)
+            coeff.append(c)
+    rhs = np.array([model.rows[i].rhs for i in source], dtype=float)
+    at_most = np.array([model.rows[i].sense == "<=" for i in source], dtype=bool)
+    return _Rows(
+        row_of=np.array(row_of, dtype=np.int32),
+        col=np.array(col, dtype=np.int32),
+        coeff=np.array(coeff, dtype=float),
+        lower=np.where(at_most, -np.inf, rhs),
+        upper=np.where(at_most, rhs, np.inf),
+        source=source,
+    )
+
+
+def _worst_row(rows: _Rows, x) -> tuple[int, float]:
+    """The row ``x`` breaks by the most, and by how much (<= 0 if none)."""
+    if not rows.source:
+        return -1, 0.0
+    lhs = np.bincount(rows.row_of, weights=rows.coeff * x[rows.col], minlength=len(rows.source))
+    gaps = np.maximum(lhs - rows.upper, rows.lower - lhs)
+    row = int(np.argmax(gaps))
+    return row, float(gaps[row])
+
+
+# fixed so that one model always takes the same pivots to the same vertex
+_HIGHS_OPTIONS = (
+    ("output_flag", False),
+    ("threads", 1),
+    ("solver", "simplex"),
+    ("presolve", "off"),
+    ("simplex_strategy", 1),  # serial dual simplex
+    ("random_seed", 0),
+)
+
+
+def _highs_solve(costs, rows: _Rows, max_iterations):
+    """min costs.x subject to the rows and 0 <= x <= 1, by HiGHS.
+
+    Returns (status, x, objective, iterations) with status "optimal" or
+    "iteration-limit"; the other three are None at the limit. A model
+    without columns is optimal at zero. Any other HiGHS status raises
+    SizeLimitError.
+    """
+    core = _highs_core()
+    n, m = costs.size, len(rows.source)
+    lp = core.HighsLp()
+    lp.num_col_ = n
+    lp.num_row_ = m
+    lp.col_cost_ = costs
+    lp.col_lower_ = np.zeros(n)
+    lp.col_upper_ = np.ones(n)
+    lp.row_lower_ = rows.lower
+    lp.row_upper_ = rows.upper
+    by_column = np.argsort(rows.col, kind="stable")
+    matrix = lp.a_matrix_
+    matrix.format_ = core.MatrixFormat.kColwise
+    matrix.num_col_ = n
+    matrix.num_row_ = m
+    matrix.start_ = np.concatenate(([0], np.cumsum(np.bincount(rows.col, minlength=n))))
+    matrix.index_ = rows.row_of[by_column]
+    matrix.value_ = rows.coeff[by_column]
+
+    highs = core._Highs()
+    options = _HIGHS_OPTIONS
+    if max_iterations is not None:
+        options += (("simplex_iteration_limit", max_iterations),)
+    for name, value in options:
+        if highs.setOptionValue(name, value) != core.HighsStatus.kOk:
+            raise RuntimeError(f"HiGHS rejected option {name}={value!r}")
+    if highs.passModel(lp) == core.HighsStatus.kError:
+        raise RuntimeError("HiGHS rejected the LP model")
+    highs.run()
+    status = highs.getModelStatus()
+    if status == core.HighsModelStatus.kIterationLimit:
+        return "iteration-limit", None, None, None
+    if status == core.HighsModelStatus.kModelEmpty:
+        return "optimal", np.zeros(n), 0.0, 0
+    if status != core.HighsModelStatus.kOptimal:
+        raise SizeLimitError(
+            f"HiGHS ended with status {status.name} ({highs.modelStatusToString(status)}); "
+            "use the ec or random ordering"
+        )
+    info = highs.getInfo()
+    x = np.array(highs.getSolution().col_value)
+    return "optimal", x, float(info.objective_function_value), int(info.simplex_iteration_count)
+
+
+@functools.cache
+def _highs_core():
+    """HiGHS's extension module from scipy, loaded by file path.
+
+    ``import scipy.optimize`` would also load HiGHS, but it pulls in
+    most of scipy and raises a fresh process's peak memory by ~47 MB;
+    the extension alone adds ~4 MB. The path is private to scipy, hence
+    the pinned scipy series in the package metadata.
+    """
+    import scipy
+
+    directory = pathlib.Path(scipy.__file__).parent / "optimize" / "_highspy"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = directory / f"_core{suffix}"
+        if path.exists():
+            break
+    else:
+        raise ImportError(
+            f"HiGHS extension not found at {directory / '_core'}"
+            f"{importlib.machinery.EXTENSION_SUFFIXES[0]} (scipy {scipy.__version__}); "
+            "the LP ordering needs scipy>=1.17,<1.18"
+        )
+    spec = importlib.util.spec_from_file_location("scipy.optimize._highspy._core", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def lp_order(g: Graph, pf: ProportionFunction, max_edges: int = DEFAULT_MAX_EDGES, max_t: int = DEFAULT_MAX_T):
     """Edges sorted by descending relaxation score, ties by canonical id.
 
-    Raises :class:`SizeLimitError` past the size guards of :func:`build_lp`,
-    when the simplex hits its iteration cap, or when its answer breaks a
-    row (see :func:`solve_lp`).
+    Scores are the snapped ``edge_values`` of :func:`solve_lp`: two values
+    that round to the same 1e-9 grid point tie, while two less than 1e-9
+    apart that round to different points stay ordered by value. Raises
+    :class:`SizeLimitError` past the size guards of :func:`build_lp`, when
+    HiGHS hits an iteration limit or ends in another non-optimal status,
+    or when its answer breaks a row (see :func:`solve_lp`).
     """
     from .orderings import EdgeOrdering
 

@@ -36,7 +36,7 @@ class EdgeOrdering:
     edges: tuple[Edge, ...]
     strategy: str
     seed: int | None = None
-    lp_iterations: int | None = None  # simplex pivots behind an "lp" ordering
+    lp_iterations: int | None = None  # HiGHS simplex iterations behind an "lp" ordering
 
     def __len__(self) -> int:
         return len(self.edges)

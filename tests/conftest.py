@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from hopcompress import Graph, ProportionFunction, Violation
-from hopcompress.simplex import SimplexResult
+from hopcompress import Graph, ProportionFunction, Violation, enumerate_simple_paths
 
 
 def recursive_simple_paths(g: Graph, u: int, v: int, max_len: int) -> list[tuple[int, ...]]:
@@ -111,9 +110,25 @@ def diamond():
 
 @pytest.fixture
 def lp_broken_row(monkeypatch):
-    """The simplex answers "optimal" with every variable 0, which breaks
-    each coverage row that asks for something."""
+    """HiGHS answers "optimal" with every variable 0, which breaks each
+    coverage row that asks for something."""
     monkeypatch.setattr(
-        "hopcompress.lp.solve_bounded_lp",
-        lambda c, *args, **kwargs: SimplexResult("optimal", np.zeros(len(c)), 0.0, 1),
+        "hopcompress.lp._highs_solve",
+        lambda costs, *args, **kwargs: ("optimal", np.zeros(len(costs)), 0.0, 1),
     )
+
+
+@pytest.fixture
+def path_enumerations(monkeypatch):
+    """Records the edges ``build_lp`` enumerates paths for; fails past 20
+    edges, so a missing path budget cannot exhaust memory on K_60."""
+    calls = []
+
+    def counting(g, u, v, max_len):
+        calls.append((u, v))
+        if len(calls) > 20:
+            raise AssertionError("path budget not enforced within 20 edges")
+        return enumerate_simple_paths(g, u, v, max_len)
+
+    monkeypatch.setattr("hopcompress.lp.enumerate_simple_paths", counting)
+    return calls

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -299,6 +300,26 @@ class TestEdgeCases:
         payload = json.loads(capsys.readouterr().out)
         assert payload["n"] == 0 and payload["kept"] == 0
         assert main(["verify", str(empty), str(out), "--p", "0,1"]) == 0
+
+    def test_empty_graph_lp_ordering(self, tmp_path, capsys):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        assert main(["compress", str(empty), "--p", "1/2,1", "--ordering", "lp"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["m"], payload["kept"], payload["lp_iterations"]) == (0, 0, 0)
+
+    @pytest.mark.parametrize("family", ["5,0,2", "0,0,2"])
+    def test_edgeless_family_lp_bench(self, family, capsys):
+        assert main(["bench", "--family", family, "--p", "1", "--strategies", "lp"]) == 0
+        assert "lp                     0.00" in capsys.readouterr().out
+
+    def test_lp_path_budget_is_config_error(self, tmp_path, capsys, path_enumerations):
+        k60 = tmp_path / "k60.txt"
+        write_graph(k60, Graph.from_edges(60, list(itertools.combinations(range(60), 2))))
+        code = main(["compress", str(k60), "--p", "0,0,1/2", "--ordering", "lp"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: more than ") and "use the ec or random ordering" in err
 
 
 class TestArgumentHandling:

@@ -1,11 +1,19 @@
 import hashlib
+import itertools
+import os
+import subprocess
+import sys
+import textwrap
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import hopcompress
 from hopcompress import (
     Graph,
     LpModel,
+    LpSolution,
     ProportionFunction,
     SizeLimitError,
     brute_force_optimal,
@@ -18,31 +26,32 @@ from hopcompress import (
     solve_lp,
     verify,
 )
-from hopcompress.lp import LpRow
+from hopcompress.lp import MAX_PATH_VARS, LpRow
 
 from conftest import small_graphs
 
-# lp_order(builtin("zachary"), "1/2,1") before the simplex lost its phase one
+# lp_order(builtin("zachary"), "1/2,1") from HiGHS
 ZACHARY_LP_ORDER = (
-    (0, 11), (0, 31), (1, 30), (2, 9), (2, 27), (2, 28), (3, 7), (9, 33), (19, 33),
-    (23, 25), (24, 27), (13, 33), (0, 8), (26, 29), (29, 33), (1, 7), (2, 8), (8, 32),
-    (3, 13), (18, 32), (14, 32), (20, 32), (30, 32), (22, 32), (32, 33), (15, 32),
-    (5, 10), (4, 6), (4, 10), (1, 13), (1, 17), (1, 19), (1, 21), (0, 1), (5, 6),
-    (5, 16), (0, 12), (23, 27), (23, 33), (24, 25), (24, 31), (25, 31), (27, 33),
-    (28, 31), (28, 33), (31, 32), (31, 33), (0, 3), (3, 12), (6, 16), (0, 21), (0, 19),
-    (0, 17), (0, 4), (0, 6), (0, 10), (0, 5), (15, 33), (14, 33), (20, 33), (22, 33),
-    (18, 33), (2, 32), (2, 3), (2, 7), (2, 13), (1, 2), (23, 29), (23, 32), (26, 33),
-    (29, 32), (8, 30), (30, 33), (8, 33), (0, 13), (0, 2), (0, 7), (1, 3),
+    (0, 11), (0, 31), (1, 30), (2, 9), (2, 27), (2, 28), (3, 7), (9, 33), (13, 33),
+    (19, 33), (23, 25), (24, 27), (0, 8), (1, 7), (3, 13), (2, 8), (8, 32), (14, 32),
+    (15, 32), (18, 32), (20, 32), (22, 32), (26, 29), (29, 33), (30, 32), (32, 33),
+    (4, 6), (4, 10), (5, 10), (1, 13), (0, 1), (0, 3), (0, 12), (0, 17), (0, 19),
+    (0, 21), (1, 17), (1, 19), (1, 21), (3, 12), (5, 6), (5, 16), (6, 16), (23, 27),
+    (23, 33), (24, 25), (24, 31), (25, 31), (27, 33), (28, 31), (28, 33), (31, 32),
+    (31, 33), (0, 4), (0, 5), (0, 6), (0, 10), (2, 32), (14, 33), (15, 33), (18, 33),
+    (20, 33), (22, 33), (23, 29), (26, 33), (29, 32), (2, 3), (1, 2), (2, 7), (2, 13),
+    (8, 30), (8, 33), (30, 33), (0, 2), (0, 7), (0, 13), (1, 3), (23, 32),
 )
 
 
-# family-g20 seed-0 instances gen_gnm(20, 60, seed) at p=0,1/2, recorded
-# from the row-major tableau: objective (float.hex), simplex pivots, and the
-# SHA-256 of repr(lp_order(...).edges)
+# family-g20 seed-0 instances gen_gnm(20, 60, seed) at p=0,1/2: the optimal
+# objective (float.hex) recorded from the hand-written simplex that HiGHS
+# replaced, which HiGHS must match within 1e-9; HiGHS's simplex iterations;
+# and the SHA-256 of repr(lp_order(...).edges) under HiGHS
 FAMILY_LP_FINGERPRINTS = {
-    1000: ("0x1.ba95222a51fd0p+3", 528, "7cd96faa3c46602b3af0075cfc20c597d12795c5821a1a5b20f195d8a5ef4272"),
-    1001: ("0x1.9351fdfd86a34p+3", 584, "3455724227de243179104003b4e7fd16774e8879370c3e1641232e35dff382bf"),
-    1002: ("0x1.6682050faa10cp+3", 994, "c7c6b1460e3b1f3333b526b2b28ca4cc313cfae12af8410fe269447026f1a209"),
+    1000: ("0x1.ba95222a51fd0p+3", 476, "58ba3e111a756540b2307a041d6e1d7263f64aff590f57d6e0a9fe30038b1dc7"),
+    1001: ("0x1.9351fdfd86a34p+3", 472, "66403cb2f39b67f5b99194a7bb8f32f51d2e59bec5e0b55a0ea46f69c1a5b7e3"),
+    1002: ("0x1.6682050faa10cp+3", 374, "c5b7473a0b4ffb9b73427bf01a8a9abaf21d42c210b9223039fa7f234c075b81"),
 }
 
 
@@ -89,6 +98,13 @@ class TestBuildLp:
             build_lp(triangle, ProportionFunction.parse("1"), max_edges=2)
         with pytest.raises(SizeLimitError, match="ec or random"):
             build_lp(triangle, ProportionFunction.parse("0,0,0,1"), max_t=3)
+
+    def test_path_budget(self, path_enumerations):
+        # K_60 at t=3 has ~6M paths, 3 365 per edge
+        k60 = Graph.from_edges(60, list(itertools.combinations(range(60), 2)))
+        with pytest.raises(SizeLimitError, match=f"more than {MAX_PATH_VARS} paths .*ec or random"):
+            build_lp(k60, ProportionFunction.parse("0,0,1/2"))
+        assert len(path_enumerations) == MAX_PATH_VARS // 3365 + 1
 
     @settings(max_examples=30, deadline=None)
     @given(g=small_graphs())
@@ -145,7 +161,9 @@ class TestSolveLp:
         g, pf = gen_gnm(20, 60, seed), ProportionFunction.parse("0,1/2")
         solution = solve_lp(build_lp(g, pf))
         digest = hashlib.sha256(repr(lp_order(g, pf).edges).encode()).hexdigest()
-        assert (solution.objective.hex(), solution.iterations, digest) == FAMILY_LP_FINGERPRINTS[seed]
+        objective, iterations, expected_digest = FAMILY_LP_FINGERPRINTS[seed]
+        assert solution.objective == pytest.approx(float.fromhex(objective), abs=1e-9)
+        assert (solution.iterations, digest) == (iterations, expected_digest)
 
     def test_broken_row_is_a_size_limit(self, lp_broken_row):
         # the all-zero answer leaves coverage row 2 (vertex 0's flow >= 1) short by 1
@@ -164,6 +182,26 @@ class TestSolveLp:
         )
         with pytest.raises(ValueError, match="violates row 0"):
             solve_lp(model)
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_edgeless_model_is_optimal_at_zero(self, n):
+        solution = solve_lp(build_lp(Graph.from_edges(n, []), ProportionFunction.parse("1/2,1")))
+        assert solution == LpSolution(status="optimal", edge_values={}, objective=0.0, iterations=0)
+
+    def test_rejected_highs_option_fails_loudly(self, triangle, monkeypatch):
+        monkeypatch.setattr(
+            hopcompress.lp, "_HIGHS_OPTIONS", hopcompress.lp._HIGHS_OPTIONS + (("no_such_option", 1),)
+        )
+        with pytest.raises(RuntimeError, match="HiGHS rejected option no_such_option=1"):
+            solve_lp(build_lp(triangle, ProportionFunction.parse("1")))
+
+    @pytest.mark.parametrize(
+        "n, m, seed", [(12, 30, 18), (12, 30, 19), (12, 30, 31), (20, 60, 1000)]
+    )
+    def test_hard_t3_models_solve_and_verify(self, n, m, seed):
+        g, pf = gen_gnm(n, m, seed), ProportionFunction.parse("0,0,1/2")
+        result = compress_basic(g, pf, lp_order(g, pf))
+        assert verify(g, result.subgraph(), pf).ok
 
     @settings(max_examples=20, deadline=None)
     @given(g=small_graphs(max_n=6))
@@ -193,6 +231,94 @@ class TestLpOrder:
         assert set(order.edges) == diamond.edge_set()
         result = compress_basic(diamond, pf, order)
         assert verify(diamond, result.subgraph(), pf).ok
+
+
+    def test_ties_break_by_edge_after_snapping(self, triangle, monkeypatch):
+        # at p=0 only f <= x and sum f <= 1 remain, so f = 0 satisfies them
+        x = [0.5 + 4e-10, 0.5 - 1e-12, 0.5 + 6e-10, 0.0, 0.0, 0.0]
+        monkeypatch.setattr(
+            "hopcompress.lp._highs_solve",
+            lambda costs, *args: ("optimal", np.array(x), sum(x), 1),
+        )
+        values = solve_lp(build_lp(triangle, ProportionFunction.parse("0"))).edge_values
+        assert values == {(0, 1): 0.5, (0, 2): 0.5, (1, 2): 0.500000001}
+        # (0, 1) and (0, 2) tie on the grid; (1, 2) is less than 1e-9 above
+        # (0, 1) but rounds to the next grid point, so it stays first
+        order = lp_order(triangle, ProportionFunction.parse("0"))
+        assert order.edges == ((1, 2), (0, 1), (0, 2))
+
+    def test_values_clipped_and_snapped(self):
+        g, pf = gen_gnm(20, 60, 1001), ProportionFunction.parse("0,1/2")
+        values = solve_lp(build_lp(g, pf)).edge_values
+        assert all(0.0 <= v <= 1.0 and round(v, 9) == v for v in values.values())
+        assert lp_order(g, pf).edges == tuple(sorted(values, key=lambda e: (-values[e], e)))
+
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(hopcompress.__file__)))
+
+
+def run_python(code, path_first=None):
+    """Run ``code`` in a fresh interpreter that imports the package under test."""
+    paths = [path_first, SRC, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+class TestHighsLoading:
+    def test_loaded_lazily_without_scipy_optimize(self):
+        done = run_python(
+            """
+            import sys
+            import hopcompress
+            from hopcompress.lp import _highs_core
+            assert not any(k == "scipy" or k.startswith("scipy.") for k in sys.modules)
+            assert _highs_core.cache_info().currsize == 0
+            hopcompress.lp_order(hopcompress.builtin("diamond"), hopcompress.ProportionFunction.parse("1/2,1"))
+            assert _highs_core.cache_info().currsize == 1
+            assert "scipy.optimize" not in sys.modules and "scipy.sparse" not in sys.modules
+            # scipy's own HiGHS still works in the same process afterwards
+            from scipy.optimize import linprog
+            assert linprog([1.0], bounds=[(1.0, 2.0)]).status == 0
+            print("ok")
+            """
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "ok\n"
+
+    def test_missing_extension_names_path_and_version(self, tmp_path):
+        fake = tmp_path / "scipy"
+        fake.mkdir()
+        (fake / "__init__.py").write_text('__version__ = "0.0.fake"\n')
+        done = run_python(
+            """
+            import hopcompress
+            hopcompress.lp_order(hopcompress.builtin("diamond"), hopcompress.ProportionFunction.parse("1"))
+            """,
+            path_first=str(tmp_path),
+        )
+        assert done.returncode != 0
+        last = done.stderr.strip().splitlines()[-1]
+        assert last.startswith("ImportError: HiGHS extension not found at ")
+        assert str(fake / "optimize" / "_highspy" / "_core") in last
+        assert "(scipy 0.0.fake)" in last
+
+    def test_fresh_processes_agree(self):
+        code = """
+            from hopcompress import ProportionFunction, build_lp, gen_gnm, lp_order, solve_lp
+            pf = ProportionFunction.parse("0,1/2")
+            for seed in (1000, 1001, 1002):
+                g = gen_gnm(20, 60, seed)
+                values = solve_lp(build_lp(g, pf)).edge_values
+                print(sorted((e, v.hex()) for e, v in values.items()))
+                print(lp_order(g, pf).edges)
+            """
+        first, second = run_python(code), run_python(code)
+        assert first.returncode == 0, first.stderr
+        assert first.stdout.count("\n") == 6
+        assert first.stdout == second.stdout
 
 
 class TestDump:
