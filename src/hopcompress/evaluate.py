@@ -74,12 +74,6 @@ def sp_histogram(g: Graph) -> SpHistogram:
     )
 
 
-def sp_histogram_timed(g: Graph) -> tuple[SpHistogram, float]:
-    start = time.perf_counter()
-    hist = sp_histogram(g)
-    return hist, time.perf_counter() - start
-
-
 @dataclass(frozen=True)
 class StretchReport:
     ok: bool
@@ -102,17 +96,17 @@ def stretch_check(g: Graph, gc: Graph, t: int) -> StretchReport:
     return StretchReport(ok=worst <= t, max_stretch=worst)
 
 
-def brute_force_optimal(
-    g: Graph, pf: ProportionFunction, max_edges: int = BRUTE_FORCE_EDGE_LIMIT
-) -> tuple[int, Graph]:
+def brute_force_optimal(g: Graph, pf: ProportionFunction) -> tuple[int, Graph]:
     """Exhaustive minimum kept-edge count, with one witness subgraph.
 
     Enumerates edge subsets by ascending cardinality and returns the
     first that verifies; adding edges never breaks a constraint, so the
-    first hit is a true minimum. Guarded to ``max_edges`` edges.
+    first hit is a true minimum. Guarded to :data:`BRUTE_FORCE_EDGE_LIMIT` edges.
     """
-    if g.m > max_edges:
-        raise SizeLimitError(f"{g.m} edges exceeds the brute-force guard of {max_edges}")
+    if g.m > BRUTE_FORCE_EDGE_LIMIT:
+        raise SizeLimitError(
+            f"{g.m} edges exceeds the brute-force guard of {BRUTE_FORCE_EDGE_LIMIT}"
+        )
     edges = tuple(g.edges())
     start = -(-(g.m * pf.props[0].numerator) // pf.props[0].denominator)  # ceil
     for k in range(start, g.m + 1):

@@ -22,7 +22,6 @@ import importlib.machinery
 import importlib.util
 import pathlib
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -31,8 +30,8 @@ from .compress import ProportionFunction
 from .errors import SizeLimitError
 from .graph import Edge, Graph, Path, enumerate_simple_paths
 
-DEFAULT_MAX_EDGES = 5000
-DEFAULT_MAX_T = 3
+MAX_EDGES = 5000
+MAX_T = 3
 # HiGHS needs ~18 s for the 13 195 paths of K_14 at t=3 and ~12 s for
 # the 4 877 of G(40,200); K_60 at t=3 would ask for ~6M paths
 MAX_PATH_VARS = 10_000
@@ -60,7 +59,6 @@ class LpModel:
 
     edges: tuple[Edge, ...]
     paths: tuple[tuple[Path, ...], ...]
-    proportions: ProportionFunction
     rows: tuple[LpRow, ...]
     witness_at_upper: tuple[int, ...]
 
@@ -82,18 +80,13 @@ class LpModel:
 
 @dataclass(frozen=True)
 class LpSolution:
-    status: str  # "optimal" | "iteration-limit"
-    edge_values: dict[Edge, float] | None
-    objective: float | None
-    iterations: int | None = None  # HiGHS simplex iterations of an optimal solve
+    status: str  # always "optimal"; any other outcome raises
+    edge_values: dict[Edge, float]
+    objective: float
+    iterations: int  # HiGHS simplex iterations
 
 
-def build_lp(
-    g: Graph,
-    pf: ProportionFunction,
-    max_edges: int = DEFAULT_MAX_EDGES,
-    max_t: int = DEFAULT_MAX_T,
-) -> LpModel:
+def build_lp(g: Graph, pf: ProportionFunction) -> LpModel:
     """Assemble the relaxed model for ``g`` under ``pf``.
 
     Emits, in order: one "path-needs-edge" row per (path, edge on path)
@@ -101,17 +94,17 @@ def build_lp(
     per (vertex with neighbors, hop level). Raises
     :class:`SizeLimitError` beyond the size guards, where the
     edge-connectivity or random orderings are the sensible choice: more
-    than ``max_edges`` edges, ``t`` above ``max_t``, or more than
+    than :data:`MAX_EDGES` edges, ``t`` above :data:`MAX_T`, or more than
     :data:`MAX_PATH_VARS` path variables, counted as they are enumerated.
     """
-    if g.m > max_edges:
+    if g.m > MAX_EDGES:
         raise SizeLimitError(
-            f"{g.m} edges exceeds the LP guard of {max_edges}; "
+            f"{g.m} edges exceeds the LP guard of {MAX_EDGES}; "
             "use the ec or random ordering instead"
         )
-    if pf.t > max_t:
+    if pf.t > MAX_T:
         raise SizeLimitError(
-            f"t={pf.t} exceeds the LP guard of {max_t}; "
+            f"t={pf.t} exceeds the LP guard of {MAX_T}; "
             "use the ec or random ordering instead"
         )
 
@@ -184,46 +177,25 @@ def build_lp(
             if len(path) == 2:  # the direct edge path
                 witness.append(fvar)
 
-    model = LpModel(
+    return LpModel(
         edges=edges,
         paths=tuple(paths_per_edge),
-        proportions=pf,
         rows=tuple(rows),
         witness_at_upper=tuple(witness),
     )
-    _assert_witness_feasible(model)
-    return model
 
 
-def _assert_witness_feasible(model: LpModel) -> None:
-    """The all-edges-kept point must satisfy every row, exactly.
-
-    Every coefficient is +-1.0 and every witness value 1, so each
-    left-hand side is a small integer summed without rounding, and the
-    float comparison with the rhs is exact.
-    """
-    at_upper = set(model.witness_at_upper)
-    for row in model.rows:
-        lhs = sum(c for var, c in row.coeffs if var in at_upper)
-        ok = lhs <= row.rhs if row.sense == "<=" else lhs >= row.rhs
-        if not ok:
-            raise AssertionError(
-                f"witness violates {row.tag} row: "
-                f"{Fraction(lhs)} {row.sense} {Fraction(row.rhs)}"
-            )
-
-
-def solve_lp(model: LpModel, max_iterations: int | None = None) -> LpSolution:
+def solve_lp(model: LpModel) -> LpSolution:
     """Solve the relaxation with HiGHS's dual simplex; deterministic for a fixed model.
 
     The solver options are fixed (one thread, no presolve, serial dual
     simplex, a fixed random seed), so one model always gives the same
-    answer. A hand-built model whose witness point breaks a row, or
-    with a row sense other than ``<=`` or ``>=``, raises ValueError. An
-    optimal answer is re-checked against every row within 1e-7, and a
-    broken row raises :class:`SizeLimitError`, as does any HiGHS status
-    other than optimal and the iteration limit. A model without
-    variables (an edgeless graph) is optimal at zero.
+    answer. A model whose witness point breaks a row, or with a row
+    sense other than ``<=`` or ``>=``, raises ValueError. An optimal
+    answer is re-checked against every row within 1e-7, and a broken
+    row raises :class:`SizeLimitError`, as does any HiGHS status other
+    than optimal. A model without variables (an edgeless graph) is
+    optimal at zero.
 
     ``edge_values`` holds each x_e clipped to [0, 1] and rounded to 9
     decimals, so solutions equal up to solver noise rank edges alike;
@@ -241,9 +213,7 @@ def solve_lp(model: LpModel, max_iterations: int | None = None) -> LpSolution:
 
     costs = np.zeros(n)
     costs[: len(model.edges)] = 1.0
-    status, x, objective, iterations = _highs_solve(costs, rows, max_iterations)
-    if status == "iteration-limit":
-        return LpSolution(status="iteration-limit", edge_values=None, objective=None)
+    x, objective, iterations = _highs_solve(costs, rows)
 
     row, gap = _worst_row(rows, x)
     if gap > 1e-7:
@@ -323,13 +293,12 @@ _HIGHS_OPTIONS = (
 )
 
 
-def _highs_solve(costs, rows: _Rows, max_iterations):
+def _highs_solve(costs, rows: _Rows):
     """min costs.x subject to the rows and 0 <= x <= 1, by HiGHS.
 
-    Returns (status, x, objective, iterations) with status "optimal" or
-    "iteration-limit"; the other three are None at the limit. A model
-    without columns is optimal at zero. Any other HiGHS status raises
-    SizeLimitError.
+    Returns (x, objective, iterations) of the optimum. A model without
+    columns is optimal at zero. Any other HiGHS status than optimal
+    raises SizeLimitError.
     """
     core = _highs_core()
     n, m = costs.size, len(rows.source)
@@ -351,20 +320,15 @@ def _highs_solve(costs, rows: _Rows, max_iterations):
     matrix.value_ = rows.coeff[by_column]
 
     highs = core._Highs()
-    options = _HIGHS_OPTIONS
-    if max_iterations is not None:
-        options += (("simplex_iteration_limit", max_iterations),)
-    for name, value in options:
+    for name, value in _HIGHS_OPTIONS:
         if highs.setOptionValue(name, value) != core.HighsStatus.kOk:
             raise RuntimeError(f"HiGHS rejected option {name}={value!r}")
     if highs.passModel(lp) == core.HighsStatus.kError:
         raise RuntimeError("HiGHS rejected the LP model")
     highs.run()
     status = highs.getModelStatus()
-    if status == core.HighsModelStatus.kIterationLimit:
-        return "iteration-limit", None, None, None
     if status == core.HighsModelStatus.kModelEmpty:
-        return "optimal", np.zeros(n), 0.0, 0
+        return np.zeros(n), 0.0, 0
     if status != core.HighsModelStatus.kOptimal:
         raise SizeLimitError(
             f"HiGHS ended with status {status.name} ({highs.modelStatusToString(status)}); "
@@ -372,7 +336,7 @@ def _highs_solve(costs, rows: _Rows, max_iterations):
         )
     info = highs.getInfo()
     x = np.array(highs.getSolution().col_value)
-    return "optimal", x, float(info.objective_function_value), int(info.simplex_iteration_count)
+    return x, float(info.objective_function_value), int(info.simplex_iteration_count)
 
 
 @functools.cache
@@ -403,22 +367,19 @@ def _highs_core():
     return module
 
 
-def lp_order(g: Graph, pf: ProportionFunction, max_edges: int = DEFAULT_MAX_EDGES, max_t: int = DEFAULT_MAX_T):
+def lp_order(g: Graph, pf: ProportionFunction):
     """Edges sorted by descending relaxation score, ties by canonical id.
 
     Scores are the snapped ``edge_values`` of :func:`solve_lp`: two values
     that round to the same 1e-9 grid point tie, while two less than 1e-9
     apart that round to different points stay ordered by value. Raises
     :class:`SizeLimitError` past the size guards of :func:`build_lp`, when
-    HiGHS hits an iteration limit or ends in another non-optimal status,
-    or when its answer breaks a row (see :func:`solve_lp`).
+    HiGHS ends in a status other than optimal, or when its answer breaks
+    a row (see :func:`solve_lp`).
     """
     from .orderings import EdgeOrdering
 
-    model = build_lp(g, pf, max_edges=max_edges, max_t=max_t)
-    solution = solve_lp(model)
-    if solution.status == "iteration-limit":
-        raise SizeLimitError("LP iteration limit reached; use the ec or random ordering")
+    solution = solve_lp(build_lp(g, pf))
     values = solution.edge_values
     ranked = sorted(values, key=lambda e: (-values[e], e))
     return EdgeOrdering(

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import hopcompress.lp
 from hopcompress import Graph, ProportionFunction, Violation, enumerate_simple_paths
 
 
@@ -114,8 +115,20 @@ def lp_broken_row(monkeypatch):
     coverage row that asks for something."""
     monkeypatch.setattr(
         "hopcompress.lp._highs_solve",
-        lambda costs, *args, **kwargs: ("optimal", np.zeros(len(costs)), 0.0, 1),
+        lambda costs, *args, **kwargs: (np.zeros(len(costs)), 0.0, 1),
     )
+
+
+@pytest.fixture
+def lp_iteration_limit(monkeypatch):
+    """HiGHS stops before its first simplex iteration. Returns the
+    monkeypatch, whose ``undo()`` lifts the cap."""
+    monkeypatch.setattr(
+        hopcompress.lp,
+        "_HIGHS_OPTIONS",
+        hopcompress.lp._HIGHS_OPTIONS + (("simplex_iteration_limit", 0),),
+    )
+    return monkeypatch
 
 
 @pytest.fixture

@@ -3,16 +3,8 @@ import json
 
 import pytest
 
-from hopcompress import Graph, LpSolution, builtin, write_edge_list
+from hopcompress import Graph, builtin, write_edge_list
 from hopcompress.cli import main
-
-
-@pytest.fixture
-def lp_iteration_limit(monkeypatch):
-    monkeypatch.setattr(
-        "hopcompress.lp.solve_lp",
-        lambda model: LpSolution(status="iteration-limit", edge_values=None, objective=None),
-    )
 
 
 def write_graph(path, g):
@@ -139,7 +131,8 @@ class TestCompress:
         code = main(["compress", triangle_file, "--p", "1", "--ordering", "lp"])
         assert code == 1
         err = capsys.readouterr().err
-        assert "LP iteration limit reached; use the ec or random ordering" in err
+        assert err.startswith("error: HiGHS ended with status kIterationLimit ")
+        assert "use the ec or random ordering" in err
         assert "Traceback" not in err
 
     def test_lp_broken_row_is_config_error(self, triangle_file, lp_broken_row, capsys):
@@ -224,6 +217,43 @@ class TestGenAndEval:
         assert main(["eval", "ratio", triangle_file, str(gc)]) == 0
         assert "1/3" in capsys.readouterr().out
 
+    @pytest.fixture
+    def zachary_p0(self, zachary_file, tmp_path, capsys):
+        """At p=0 every edge goes: the compressed file is empty, and its
+        34 vertices are isolated."""
+        out = tmp_path / "z0.txt"
+        assert main(["compress", zachary_file, "--p", "0", "-o", str(out)]) == 0
+        capsys.readouterr()
+        assert out.read_text() == ""
+        return str(out)
+
+    def test_ratio_with_isolated_vertices(self, zachary_file, zachary_p0, capsys):
+        assert main(["eval", "ratio", zachary_file, zachary_p0]) == 0
+        assert capsys.readouterr().out == "1.0000 (1)\n"
+
+    def test_stretch_with_isolated_vertices(self, zachary_file, zachary_p0, capsys):
+        assert main(["eval", "stretch", zachary_file, zachary_p0, "--t", "1"]) == 4
+        assert capsys.readouterr() == ("ok: False  max stretch: inf\n", "")
+
+    def test_sp_hist_with_isolated_vertices(self, zachary_file, zachary_p0, capsys):
+        assert main(["eval", "sp-hist", zachary_file, zachary_p0]) == 0
+        out = capsys.readouterr().out
+        assert f"{'disc':>8} {0:>12} {34 * 33 // 2:>12}\n" in out
+
+    @pytest.mark.parametrize("metric", [["sp-hist"], ["stretch", "--t", "2"], ["ratio"]])
+    @pytest.mark.parametrize(
+        "edge, fault",
+        [("10 70", "uses a vertex absent from the original"), ("10 30", "is not present in the original graph")],
+    )
+    def test_foreign_edge_named_by_labels(self, metric, edge, fault, tmp_path, capsys):
+        original = tmp_path / "g.txt"
+        original.write_text("10 20\n20 30\n")
+        gc = tmp_path / "gc.txt"
+        gc.write_text(edge + "\n")
+        assert main(["eval", metric[0], str(original), str(gc), *metric[1:]]) == 1
+        lu, lv = edge.split()
+        assert capsys.readouterr().err == f"error: edge ({lu}, {lv}) {fault}\n"
+
 
 class TestBench:
     def test_table_and_report(self, tmp_path, capsys):
@@ -256,7 +286,8 @@ class TestBench:
         code = main(["bench", "--family", "10,15,2", "--p", "1", "--strategies", "lp", "--jobs", "1"])
         assert code == 1
         err = capsys.readouterr().err
-        assert "LP iteration limit reached; use the ec or random ordering" in err
+        assert err.startswith("error: HiGHS ended with status kIterationLimit ")
+        assert "use the ec or random ordering" in err
         assert "Traceback" not in err
 
     def test_lp_broken_row_is_config_error(self, lp_broken_row, capsys):

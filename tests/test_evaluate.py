@@ -110,7 +110,7 @@ class TestBruteForceOptimal:
     def test_guard(self):
         g = Graph.from_edges(30, [(i, i + 1) for i in range(29)])
         with pytest.raises(SizeLimitError):
-            brute_force_optimal(g, ProportionFunction.parse("1"), max_edges=20)
+            brute_force_optimal(g, ProportionFunction.parse("1"))
 
     @settings(max_examples=15, deadline=None)
     @given(g=small_graphs(max_n=5), seed=...)

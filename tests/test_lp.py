@@ -26,7 +26,7 @@ from hopcompress import (
     solve_lp,
     verify,
 )
-from hopcompress.lp import MAX_PATH_VARS, LpRow
+from hopcompress.lp import MAX_EDGES, MAX_PATH_VARS, MAX_T, LpRow
 
 from conftest import small_graphs
 
@@ -94,10 +94,10 @@ class TestBuildLp:
         assert tags["coverage"] == diamond.n * pf.t
 
     def test_size_guards(self, triangle):
-        with pytest.raises(SizeLimitError, match="ec or random"):
-            build_lp(triangle, ProportionFunction.parse("1"), max_edges=2)
-        with pytest.raises(SizeLimitError, match="ec or random"):
-            build_lp(triangle, ProportionFunction.parse("0,0,0,1"), max_t=3)
+        with pytest.raises(SizeLimitError, match=f"{MAX_EDGES + 1} edges exceeds the LP guard of {MAX_EDGES};"):
+            build_lp(gen_gnm(101, MAX_EDGES + 1, 0), ProportionFunction.parse("1"))
+        with pytest.raises(SizeLimitError, match=f"t=4 exceeds the LP guard of {MAX_T};"):
+            build_lp(triangle, ProportionFunction.parse("0,0,0,1"))
 
     def test_path_budget(self, path_enumerations):
         # K_60 at t=3 has ~6M paths, 3 365 per edge
@@ -109,9 +109,14 @@ class TestBuildLp:
     @settings(max_examples=30, deadline=None)
     @given(g=small_graphs())
     def test_witness_always_accepted(self, g):
-        # build_lp asserts witness feasibility internally
+        # every coefficient is +-1 and every witness value 1, so each
+        # left-hand side is an exact integer compared with the float rhs
         model = build_lp(g, ProportionFunction.parse("0,1/2"))
-        assert len(model.witness_at_upper) >= len(model.edges)
+        at_upper = set(model.witness_at_upper)
+        assert at_upper >= set(range(len(model.edges)))
+        for row in model.rows:
+            lhs = sum(c for var, c in row.coeffs if var in at_upper)
+            assert lhs <= row.rhs if row.sense == "<=" else lhs >= row.rhs, row
 
 
 class TestSolveLp:
@@ -149,12 +154,12 @@ class TestSolveLp:
         assert solution.objective == pytest.approx(42.01373626373628, abs=1e-9)
         assert lp_order(builtin("zachary"), pf).edges == ZACHARY_LP_ORDER
 
-    def test_iterations_kept(self):
+    def test_iterations_kept(self, lp_iteration_limit):
         model = build_lp(builtin("zachary"), ProportionFunction.parse("1/2,1"))
-        solution = solve_lp(model)
-        assert solution.iterations > 0
-        capped = solve_lp(model, max_iterations=1)
-        assert capped.status == "iteration-limit" and capped.iterations is None
+        with pytest.raises(SizeLimitError, match="kIterationLimit .*use the ec or random ordering"):
+            solve_lp(model)
+        lp_iteration_limit.undo()
+        assert solve_lp(model).iterations > 0
 
     @pytest.mark.parametrize("seed", sorted(FAMILY_LP_FINGERPRINTS))
     def test_family_fingerprints(self, seed):
@@ -176,7 +181,6 @@ class TestSolveLp:
         model = LpModel(
             edges=((0, 1),),
             paths=(((0, 1),),),
-            proportions=ProportionFunction.parse("1"),
             rows=(LpRow(coeffs=((0, 1.0),), sense="<=", rhs=0.0, tag="broken"),),
             witness_at_upper=(0, 1),
         )
@@ -238,7 +242,7 @@ class TestLpOrder:
         x = [0.5 + 4e-10, 0.5 - 1e-12, 0.5 + 6e-10, 0.0, 0.0, 0.0]
         monkeypatch.setattr(
             "hopcompress.lp._highs_solve",
-            lambda costs, *args: ("optimal", np.array(x), sum(x), 1),
+            lambda costs, *args: (np.array(x), sum(x), 1),
         )
         values = solve_lp(build_lp(triangle, ProportionFunction.parse("0"))).edge_values
         assert values == {(0, 1): 0.5, (0, 2): 0.5, (1, 2): 0.500000001}
