@@ -45,12 +45,12 @@ def sp_histogram(g: Graph) -> SpHistogram:
     """All-pairs BFS; every unordered pair counted once.
 
     Flat visit-stamp arrays instead of per-source dicts keep this usable
-    on the ten-thousand-vertex collaboration networks.
+    on the ten-thousand-vertex collaboration networks. Each BFS level adds
+    its size to its depth; every pair is reached from both ends, so halve.
     """
     n = g.n
     adjacency = g.adjacency
-    lengths: dict[int, int] = {}
-    connected = 0
+    reached: dict[int, int] = {}
     stamp = [-1] * n
     for u in range(n):
         stamp[u] = u
@@ -64,13 +64,12 @@ def sp_histogram(g: Graph) -> SpHistogram:
                     if stamp[y] != u:
                         stamp[y] = u
                         nxt.append(y)
-                        if y > u:
-                            lengths[depth] = lengths.get(depth, 0) + 1
-                            connected += 1
+            reached[depth] = reached.get(depth, 0) + len(nxt)
             frontier = nxt
+    lengths = {depth: count // 2 for depth, count in sorted(reached.items()) if count}
     return SpHistogram(
-        lengths=dict(sorted(lengths.items())),
-        disconnected=n * (n - 1) // 2 - connected,
+        lengths=lengths,
+        disconnected=n * (n - 1) // 2 - sum(lengths.values()),
     )
 
 

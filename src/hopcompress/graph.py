@@ -67,13 +67,11 @@ class Graph:
     def from_edges(cls, n: int, edges: Iterable[Edge], labels: Sequence[int] | None = None) -> Graph:
         """Build a graph on ``n`` vertices from an iterable of edges.
 
-        A repeated edge is caught by the constructor's sorted-row check,
-        which names the smallest one, without a set of every edge.
+        A self-loop or a repeated edge is caught by the constructor's row
+        checks, which name the smallest one, without a set of every edge.
         """
         adjacency: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             adjacency[u].append(v)
@@ -123,11 +121,11 @@ def load_edge_list(source: IO[str] | Iterable[str]) -> Graph:
     Lines starting with ``#`` are comments; data lines hold two unsigned
     integers separated by whitespace. Vertex ids are relabeled onto a
     dense ``0..n-1`` range (ascending original order); the original ids
-    are kept in ``Graph.labels``. Duplicate edges are collapsed with a
-    single warning reporting how many were dropped; self-loops are
-    rejected.
+    are kept in ``Graph.labels``. Each edge goes straight into both
+    endpoints' rows, with no edge set; repeats are collapsed with one
+    warning that counts them, and self-loops are rejected.
     """
-    raw_edges: list[tuple[int, int]] = []
+    labels: list[int] = []
     for line_number, line in enumerate(source, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -147,22 +145,25 @@ def load_edge_list(source: IO[str] | Iterable[str]) -> Graph:
             raise EdgeListFormatError(f"negative vertex id in {stripped!r}", line_number)
         if u == v:
             raise EdgeListFormatError(f"self-loop at vertex {u}", line_number)
-        raw_edges.append((u, v))
+        labels += (u, v)
 
-    ids = sorted({x for e in raw_edges for x in e})
+    ids = sorted(set(labels))
     dense = {label: i for i, label in enumerate(ids)}
-
-    edges: set[Edge] = set()
-    duplicates = 0
-    for u, v in raw_edges:
-        e = canonical_edge(dense[u], dense[v])
-        if e in edges:
-            duplicates += 1
-        else:
-            edges.add(e)
-    if duplicates:
-        warnings.warn(f"collapsed {duplicates} duplicate edge(s)", stacklevel=2)
-    return Graph.from_edges(len(ids), sorted(edges), labels=ids)
+    rows: list[list[int]] = [[] for _ in ids]
+    endpoints = map(dense.__getitem__, labels)
+    for u, v in zip(endpoints, endpoints):
+        rows[u].append(v)
+        rows[v].append(u)
+    del labels, endpoints  # freed before the constructor copies the rows
+    repeats = 0  # a repeated edge, in either orientation, repeats in both rows
+    for row in rows:
+        distinct = set(row)
+        if len(distinct) < len(row):
+            repeats += len(row) - len(distinct)
+            row[:] = distinct
+    if repeats:
+        warnings.warn(f"collapsed {repeats // 2} duplicate edge(s)", stacklevel=2)
+    return Graph(rows, labels=ids)
 
 
 def write_edge_list(g: Graph, out: IO[str]) -> None:

@@ -323,6 +323,39 @@ class TestBench:
 
 
 class TestEdgeCases:
+    @pytest.fixture(params=["", "# comments only\n\n# no edges\n"], ids=["empty", "comments-only"])
+    def edgeless_file(self, request, tmp_path):
+        path = tmp_path / "edgeless.txt"
+        path.write_text(request.param)
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "command, code",
+        [
+            (["compress", "{g}", "--p", "1/2,1", "--ordering", "random"], 0),
+            (["compress", "{g}", "--p", "1/2,1", "--ordering", "ec"], 0),
+            (["compress", "{g}", "--p", "1/2,1", "--ordering", "sa"], 0),
+            (["verify", "{g}", "{g}", "--p", "1/2,1"], 0),
+            (["eval", "sp-hist", "{g}"], 0),
+            (["eval", "stretch", "{g}", "{g}", "--t", "2"], 0),
+            (["eval", "ratio", "{g}", "{g}"], 1),
+        ],
+    )
+    def test_edgeless_input(self, edgeless_file, command, code, capsys):
+        assert main([arg.format(g=edgeless_file) for arg in command]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code:
+            assert err == "error: compression ratio undefined for an edgeless graph\n"
+
+    def test_edgeless_family_bench(self, capsys):
+        code = main(["bench", "--family", "5,0,2", "--p", "1", "--strategies", "basic,ec,sa", "--sa-iters", "10"])
+        assert code == 0
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        for strategy in ("basic-random", "ec", "sa"):
+            assert f"{strategy:<14} {0:>12.2f}" in out
+
     def test_empty_graph_roundtrip(self, tmp_path, capsys):
         empty = tmp_path / "empty.txt"
         empty.write_text("# nothing here\n")

@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -74,6 +75,16 @@ class TestSpHistogram:
     def test_partitions_all_pairs(self, g):
         hist = sp_histogram(g)
         assert hist.total_pairs() == g.n * (g.n - 1) // 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(g=small_graphs(min_n=0, max_n=9))
+    def test_matches_oracle_distances(self, g):
+        # small_graphs draws edge subsets, so isolated vertices and
+        # disconnected graphs are among the cases
+        lengths = Counter(d for u in range(g.n) for v, d in oracle_distances(g, u).items() if v > u)
+        hist = sp_histogram(g)
+        assert hist.lengths == lengths and list(hist.lengths) == sorted(lengths)
+        assert hist.disconnected == g.n * (g.n - 1) // 2 - sum(lengths.values())
 
 
 class TestStretchCheck:

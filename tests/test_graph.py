@@ -1,8 +1,10 @@
 import io
 import time
+import warnings
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopcompress import (
     EdgeListFormatError,
@@ -18,6 +20,22 @@ from conftest import recursive_simple_paths, small_graphs
 
 def load(text):
     return load_edge_list(io.StringIO(text))
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list text over a few sparse labels, with its edge lines as pairs.
+
+    The small label pool makes repeats in both orientations common;
+    comment and blank lines are mixed in.
+    """
+    pool = draw(st.lists(st.integers(0, 10**9), min_size=2, max_size=6, unique=True))
+    edge = st.tuples(st.sampled_from(pool), st.sampled_from(pool)).filter(lambda e: e[0] != e[1])
+    noise = st.sampled_from(["", "   ", "# comment", "#3 4"])
+    lines = draw(st.lists(st.one_of(edge, noise), max_size=30))
+    sep = draw(st.sampled_from([" ", "\t", "  "]))
+    text = "".join((sep.join(map(str, x)) if isinstance(x, tuple) else x) + "\n" for x in lines)
+    return text, [x for x in lines if isinstance(x, tuple)]
 
 
 class TestLoadEdgeList:
@@ -42,6 +60,22 @@ class TestLoadEdgeList:
             load("0 1\n0 x\n")
         with pytest.raises(EdgeListFormatError, match="line 1"):
             load("0 1 2\n")
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=edge_list_texts())
+    def test_matches_canonical_relabelled_edges(self, case):
+        text, pairs = case
+        ids = sorted({x for e in pairs for x in e})
+        dense = {label: i for i, label in enumerate(ids)}
+        canonical = {(min(dense[u], dense[v]), max(dense[u], dense[v])) for u, v in pairs}
+        repeats = len(pairs) - len(canonical)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            g = load(text)
+        assert g == Graph.from_edges(len(ids), sorted(canonical), labels=ids)
+        assert g.labels == tuple(ids)
+        expected = [f"collapsed {repeats} duplicate edge(s)"] if repeats else []
+        assert [str(w.message) for w in caught] == expected
 
     def test_blank_lines_and_comments_skipped(self):
         g = load("# header\n\n0 1\n")
