@@ -32,7 +32,6 @@ from .evaluate import (
     bench_orderings,
     brute_force_optimal,
     compression_ratio,
-    run_strategy,
     sp_histogram,
     stretch_check,
 )
@@ -44,8 +43,17 @@ from .graph import (
     load_edge_list,
     write_edge_list,
 )
-from .lp import LpModel, LpSolution, build_lp, dump_lp, lp_order, solve_lp
-from .orderings import EdgeOrdering, SaParams, ec_order, ec_scores, random_order, sa_compress
+from .lp import LpModel, LpSolution, build_lp, dump_lp, solve_lp
+from .orderings import (
+    EdgeOrdering,
+    SaParams,
+    ec_order,
+    ec_scores,
+    lp_order,
+    random_order,
+    run_strategy,
+    sa_compress,
+)
 
 __version__ = "0.1.0"
 

@@ -18,9 +18,9 @@ from pathlib import Path
 from .compress import ProportionFunction, verify
 from .datagen import BUILTIN_NAMES, FamilySpec, builtin, gen_gnm
 from .errors import EdgeListFormatError, HopCompressError, SizeLimitError
-from .evaluate import bench_orderings, compression_ratio, run_strategy, sp_histogram, stretch_check
+from .evaluate import bench_orderings, compression_ratio, sp_histogram, stretch_check
 from .graph import Graph, canonical_edge, load_edge_list, write_edge_list
-from .orderings import STRATEGIES, SaParams
+from .orderings import STRATEGIES, SaParams, run_strategy
 
 EXIT_OK = 0
 EXIT_CONFIG = 1

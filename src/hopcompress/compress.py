@@ -103,7 +103,6 @@ class CompressionResult:
     kept: frozenset[Edge]
     n: int
     m: int
-    proportions: ProportionFunction
     strategy: str
     seed: int | None
     seconds: float
@@ -241,8 +240,8 @@ def _scan(
     - if x and y share a kept neighbour, y is within 2 hops, which adds
       one to the invariant's count: ceil(p(i)·old) + 1 >= p(i)·deg, so
       every level from 2 up passes;
-    - at t = 2 with no shared kept neighbour y is beyond 2 hops, so the
-      level-2 count is at most old and ceil(p(2)·deg) > old fails;
+    - with no shared kept neighbour y is beyond 2 hops, so the level-2
+      count is at most old and ceil(p(2)·deg) > old fails, at any t;
     - anything else runs the exact depth-t BFS of :func:`_levels_ok`.
 
     The probe is symmetric, so it runs at most once per edge, and only
@@ -260,8 +259,8 @@ def _scan(
     ratios = [(p.numerator, p.denominator) for p in pf.props]
     num1, den1 = ratios[0]
     upper = ratios[1:]
-    at_t2 = len(ratios) == 2
-    num_t, den_t = ratios[-1]
+    p2 = pf.at(2)  # p(1) at t = 1, where no level above 1 is probed
+    num2, den2 = p2.numerator, p2.denominator
 
     reference: list[list[int]] = [[] for _ in range(n)]  # replayed prefix
     kept_adj: list[list[int]] = [[] for _ in range(n)]
@@ -299,7 +298,7 @@ def _scan(
                 shared = _share_kept_neighbor(kept_adj[u], kept_adj[v], mark, k)
             if shared:
                 continue
-            if at_t2 and num_t * deg > den_t * old:
+            if num2 * deg > den2 * old:
                 keep = True  # y is beyond 2 hops: level 2 counts at most old
                 break
             if not _levels_ok(x, reference[x], kept_adj, ratios)[0]:
@@ -354,7 +353,6 @@ def compress_basic(g: Graph, pf: ProportionFunction, order) -> CompressionResult
         kept=kept,
         n=g.n,
         m=g.m,
-        proportions=pf,
         strategy=strategy,
         seed=seed,
         seconds=seconds,

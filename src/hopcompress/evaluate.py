@@ -2,22 +2,18 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .compress import CompressionResult, ProportionFunction, compress_basic, require_subgraph, verify
+from .compress import ProportionFunction, require_subgraph, verify
 from .datagen import FamilySpec, gen_gnm
 from .errors import SizeLimitError
 from .graph import Graph, hop_distance
-from .orderings import STRATEGIES, SaParams, order_for, sa_compress
-
-STRATEGY_NAMES = tuple(dict.fromkeys(STRATEGIES.values()))
+from .orderings import SaParams, normalize_strategy, run_strategy
 
 BRUTE_FORCE_EDGE_LIMIT = 20
 
@@ -164,34 +160,6 @@ class BenchReport:
         return "\n".join(lines) + "\n"
 
 
-def normalize_strategy(name: str) -> str:
-    if name not in STRATEGIES:
-        raise ValueError(f"unknown strategy {name!r}; choose from {STRATEGY_NAMES}")
-    return STRATEGIES[name]
-
-
-def run_strategy(
-    g: Graph,
-    pf: ProportionFunction,
-    strategy: str,
-    seed: int = 0,
-    sa_params: SaParams | None = None,
-) -> CompressionResult:
-    """Compress under one named strategy; ``seconds`` spans ordering + scan.
-
-    ``seed`` drives the random order and the annealing stream (it
-    overrides ``sa_params.seed`` so paired trials share their start).
-    """
-    strategy = normalize_strategy(strategy)
-    if strategy == "sa":
-        params = dataclasses.replace(sa_params or SaParams(), seed=seed)
-        return sa_compress(g, pf, params)
-    start = time.perf_counter()
-    ordering = order_for(g, pf, strategy, seed)
-    result = compress_basic(g, pf, ordering)
-    return dataclasses.replace(result, seconds=time.perf_counter() - start)
-
-
 def _bench_trial(args) -> list[tuple[str, int, float]]:
     family, pf, strategies, seed, sa_params = args
     g = gen_gnm(family.n, family.m, seed)
@@ -213,25 +181,21 @@ def bench_orderings(
     family: FamilySpec,
     pf: ProportionFunction,
     strategies,
-    trials: int | None = None,
-    seeds=None,
     sa_params: SaParams | None = None,
     jobs: int = 1,
 ) -> BenchReport:
-    """Run each strategy over a family of instances and aggregate means.
+    """Run each strategy over a family's instances and aggregate means.
+
+    Trial i compresses ``gen_gnm(family.n, family.m, family.seed + i)``
+    under every strategy, with ``family.seed + i`` as its seed.
 
     Every output is re-verified; a failure aborts loudly since it can
     only mean a compressor bug. Trials are independent, so ``jobs > 1``
     fans them out across processes without changing any result.
     """
     strategies = [normalize_strategy(s) for s in strategies]
-    count = trials if trials is not None else family.count
-    if seeds is None:
-        seeds = [family.seed + i for i in range(count)]
-    seeds = list(seeds)
-    if len(seeds) != count:
-        raise ValueError("need exactly one seed per trial")
-
+    count = family.count
+    seeds = tuple(range(family.seed, family.seed + count))
     tasks = [(family, pf, strategies, seed, sa_params) for seed in seeds]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -254,6 +218,6 @@ def bench_orderings(
         dataset=family.describe(),
         proportions=str(pf),
         trials=count,
-        seeds=tuple(seeds),
+        seeds=seeds,
         stats=tuple(stats),
     )

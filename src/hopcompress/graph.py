@@ -119,7 +119,7 @@ def load_edge_list(source: IO[str] | Iterable[str]) -> Graph:
     """Parse an edge-list text stream into a :class:`Graph`.
 
     Lines starting with ``#`` are comments; data lines hold two unsigned
-    integers separated by whitespace. Vertex ids are relabeled onto a
+    ASCII decimal integers separated by whitespace. Vertex ids are relabeled onto a
     dense ``0..n-1`` range (ascending original order); the original ids
     are kept in ``Graph.labels``. Each edge goes straight into both
     endpoints' rows, with no edge set; repeats are collapsed with one
@@ -143,6 +143,9 @@ def load_edge_list(source: IO[str] | Iterable[str]) -> Graph:
             ) from None
         if u < 0 or v < 0:
             raise EdgeListFormatError(f"negative vertex id in {stripped!r}", line_number)
+        digits = parts[0] + parts[1]  # int() also takes "+2", "1_0", "-0" and non-ASCII digits
+        if not (digits.isascii() and digits.isdigit()):
+            raise EdgeListFormatError(f"non-integer token in {stripped!r}", line_number)
         if u == v:
             raise EdgeListFormatError(f"self-loop at vertex {u}", line_number)
         labels += (u, v)

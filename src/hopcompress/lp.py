@@ -8,7 +8,8 @@ it with the dual revised simplex of HiGHS (Huangfu & Hall, Math. Prog.
 Comp. 2018), whose extension module scipy ships; it is loaded on the
 first solve, without importing ``scipy.optimize``. Sorting edges by
 descending x_e, snapped to a 1e-9 grid, with ties broken by canonical
-edge, yields the ordering fed to the compressor.
+edge, yields the ordering fed to the compressor
+(:func:`hopcompress.orderings.lp_order`).
 
 Intended for small graphs (size guards below: edges, t, and the number
 of path variables); larger inputs should use the edge-connectivity or
@@ -365,26 +366,6 @@ def _highs_core():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def lp_order(g: Graph, pf: ProportionFunction):
-    """Edges sorted by descending relaxation score, ties by canonical id.
-
-    Scores are the snapped ``edge_values`` of :func:`solve_lp`: two values
-    that round to the same 1e-9 grid point tie, while two less than 1e-9
-    apart that round to different points stay ordered by value. Raises
-    :class:`SizeLimitError` past the size guards of :func:`build_lp`, when
-    HiGHS ends in a status other than optimal, or when its answer breaks
-    a row (see :func:`solve_lp`).
-    """
-    from .orderings import EdgeOrdering
-
-    solution = solve_lp(build_lp(g, pf))
-    values = solution.edge_values
-    ranked = sorted(values, key=lambda e: (-values[e], e))
-    return EdgeOrdering(
-        edges=tuple(ranked), strategy="lp", seed=None, lp_iterations=solution.iterations
-    )
 
 
 def dump_lp(model: LpModel) -> str:

@@ -2,8 +2,9 @@
 
 The compressor's output depends only on the order in which it scans the
 edges, so better orderings buy smaller kept sets. Provided here: seeded
-uniform shuffles, a local edge-connectivity greedy order, and a
-simulated-annealing search over the permutation space.
+uniform shuffles, a local edge-connectivity greedy order, the relaxed-LP
+order, a simulated-annealing search over the permutation space, and
+:func:`run_strategy`, which runs any of them by name.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ from dataclasses import dataclass
 
 from .compress import CompressionResult, ProportionFunction, _scan, compress_basic
 from .graph import Edge, Graph, enumerate_simple_paths
+from .lp import build_lp, solve_lp
 
-# every accepted strategy name -> its canonical name; the CLI choices,
-# evaluate.normalize_strategy and order_for all read this table
+# every accepted strategy name -> its canonical name; the CLI choices and
+# normalize_strategy read this table
 STRATEGIES = {
     "random": "basic-random",
     "basic": "basic-random",
@@ -27,6 +29,13 @@ STRATEGIES = {
     "ec": "ec",
     "sa": "sa",
 }
+STRATEGY_NAMES = tuple(dict.fromkeys(STRATEGIES.values()))
+
+
+def normalize_strategy(name: str) -> str:
+    if name not in STRATEGIES:
+        raise ValueError(f"unknown strategy {name!r}; choose from {STRATEGY_NAMES}")
+    return STRATEGIES[name]
 
 
 @dataclass(frozen=True)
@@ -89,11 +98,33 @@ def ec_scores(g: Graph, t: int) -> dict[Edge, int]:
     return scores
 
 
+def _descending(scores: dict[Edge, float]) -> tuple[Edge, ...]:
+    """Edges by descending score, ties by canonical id."""
+    return tuple(sorted(scores, key=lambda e: (-scores[e], e)))
+
+
 def ec_order(g: Graph, t: int) -> EdgeOrdering:
     """Edges sorted by descending connectivity score, ties by canonical id."""
-    scores = ec_scores(g, t)
-    ranked = sorted(scores, key=lambda e: (-scores[e], e))
-    return EdgeOrdering(edges=tuple(ranked), strategy="ec", seed=None)
+    return EdgeOrdering(edges=_descending(ec_scores(g, t)), strategy="ec", seed=None)
+
+
+def lp_order(g: Graph, pf: ProportionFunction) -> EdgeOrdering:
+    """Edges sorted by descending relaxation score, ties by canonical id.
+
+    Scores are the snapped ``edge_values`` of :func:`~hopcompress.lp.solve_lp`:
+    two values that round to the same 1e-9 grid point tie, while two less
+    than 1e-9 apart that round to different points stay ordered by value.
+    Raises :class:`~hopcompress.errors.SizeLimitError` past the size guards
+    of :func:`~hopcompress.lp.build_lp`, when HiGHS ends in a status other
+    than optimal, or when its answer breaks a row.
+    """
+    solution = solve_lp(build_lp(g, pf))
+    return EdgeOrdering(
+        edges=_descending(solution.edge_values),
+        strategy="lp",
+        seed=None,
+        lp_iterations=solution.iterations,
+    )
 
 
 def sa_compress(g: Graph, pf: ProportionFunction, params: SaParams) -> CompressionResult:
@@ -153,24 +184,27 @@ def sa_compress(g: Graph, pf: ProportionFunction, params: SaParams) -> Compressi
     return dataclasses.replace(result, seconds=time.perf_counter() - start)
 
 
-def order_for(
+def run_strategy(
     g: Graph,
     pf: ProportionFunction,
     strategy: str,
     seed: int = 0,
-) -> EdgeOrdering:
-    """Build the named deterministic-or-seeded ordering ("random" | "ec" | "lp").
+    sa_params: SaParams | None = None,
+) -> CompressionResult:
+    """Compress under one named strategy; ``seconds`` spans the ordering
+    (or the annealing search) and the scan.
 
-    Any name of :data:`STRATEGIES` but "sa", which is a search rather than
-    an ordering, is accepted.
+    ``seed`` drives the random order and the annealing stream (it
+    overrides ``sa_params.seed`` so paired trials share their start).
     """
-    canonical = STRATEGIES.get(strategy)
-    if canonical == "basic-random":
-        return random_order(g, seed)
-    if canonical == "ec":
-        return ec_order(g, pf.t)
-    if canonical == "lp":
-        from .lp import lp_order
-
-        return lp_order(g, pf)
-    raise ValueError(f"unknown ordering strategy {strategy!r}")
+    strategy = normalize_strategy(strategy)
+    start = time.perf_counter()
+    if strategy == "sa":
+        result = sa_compress(g, pf, dataclasses.replace(sa_params or SaParams(), seed=seed))
+    elif strategy == "lp":
+        result = compress_basic(g, pf, lp_order(g, pf))
+    elif strategy == "ec":
+        result = compress_basic(g, pf, ec_order(g, pf.t))
+    else:
+        result = compress_basic(g, pf, random_order(g, seed))
+    return dataclasses.replace(result, seconds=time.perf_counter() - start)

@@ -226,6 +226,27 @@ class TestScan:
             order = list(random_order(g, seed).edges)
             assert _scan(g.n, order, pf) == reference_scan(g.n, order, pf)
 
+    def test_level_two_rule_decides_without_bfs_at_t3(self, monkeypatch):
+        # at p=0,1,1 the first edge lifts both endpoints' level-2 threshold
+        # from 0 to 1 with no kept neighbour shared: kept with no BFS
+        import hopcompress.compress as compress_module
+        from hopcompress import gen_gnm
+
+        pf = ProportionFunction.parse("0,1,1")
+        g = gen_gnm(12, 30, 0)
+        order = list(random_order(g, 0).edges)
+        expected = reference_scan(g.n, order, pf)
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0])
+            return _levels_ok(*args)
+
+        monkeypatch.setattr(compress_module, "_levels_ok", counting)
+        assert _scan(g.n, order[:1], pf) == [True]
+        assert calls == []
+        assert _scan(g.n, order, pf) == expected
+
 
 class TestVerify:
     def test_triangle_spanner_ok(self, triangle):

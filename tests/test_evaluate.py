@@ -18,6 +18,7 @@ from hopcompress import (
     brute_force_optimal,
     compress_basic,
     compression_ratio,
+    run_strategy,
     sp_histogram,
     stretch_check,
     verify,
@@ -225,8 +226,7 @@ class TestBench:
 class TestStrategyRegistry:
     def test_every_entry_point_reads_one_table(self, triangle, capsys):
         from hopcompress.cli import main
-        from hopcompress.evaluate import STRATEGY_NAMES, normalize_strategy
-        from hopcompress.orderings import STRATEGIES, order_for
+        from hopcompress.orderings import STRATEGIES, STRATEGY_NAMES
 
         assert main(["compress", "--help"]) == 0
         assert "{random,basic,basic-random,lp,ec,sa}" in capsys.readouterr().out
@@ -234,10 +234,8 @@ class TestStrategyRegistry:
         assert STRATEGY_NAMES == ("basic-random", "lp", "ec", "sa")
         pf = ProportionFunction.parse("1")
         for name, canonical in STRATEGIES.items():
-            assert normalize_strategy(name) == canonical
-            if canonical != "sa":
-                assert order_for(triangle, pf, name).strategy == canonical.replace("basic-", "")
+            result = run_strategy(triangle, pf, name, seed=3, sa_params=SaParams(iterations=5))
+            assert result.strategy == canonical.replace("basic-", "")
+            assert result.seed == (None if canonical in ("lp", "ec") else 3)
         with pytest.raises(ValueError, match=r"unknown strategy 'zigzag'; choose from \('basic-random', 'lp', 'ec', 'sa'\)"):
-            normalize_strategy("zigzag")
-        with pytest.raises(ValueError, match="unknown ordering strategy 'sa'"):
-            order_for(triangle, pf, "sa")
+            run_strategy(triangle, pf, "zigzag")

@@ -60,6 +60,18 @@ class TestLoadEdgeList:
             load("0 1\n0 x\n")
         with pytest.raises(EdgeListFormatError, match="line 1"):
             load("0 1 2\n")
+        for token in ("1_0", "+2", "\u0663", "-0"):
+            with pytest.raises(EdgeListFormatError, match=r"^line 2: non-integer token in"):
+                load(f"0 1\n5 {token}\n")
+            with pytest.raises(EdgeListFormatError, match=r"^line 1: non-integer token in"):
+                load(f"{token} 5\n")
+        with pytest.raises(EdgeListFormatError, match=r"^line 1: negative vertex id in"):
+            load("-1 2\n")
+
+    def test_leading_zeros_and_unicode_spaces_accepted(self):
+        g = load("01\u00a0002\n2\u30003\n")
+        assert sorted(g.edges()) == [(0, 1), (1, 2)]
+        assert g.labels == (1, 2, 3)
 
     @settings(max_examples=200, deadline=None)
     @given(case=edge_list_texts())
