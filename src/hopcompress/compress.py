@@ -12,6 +12,7 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Sequence
 
@@ -202,6 +203,41 @@ def _validate_ordering(g: Graph, edges: Sequence[Edge]) -> None:
         seen[start[u] + k] = 1
 
 
+# graphs with at most this many vertices are scanned on bitmask rows; a
+# row is an n-bit int, so the masks cost up to n² bits over the whole graph
+MASK_SCAN_MAX_N = 1024
+
+# what a step does at an endpoint whose level-1 count already passes
+_PASS, _PROBE_THEN_BFS, _PROBE_THEN_KEEP = 0, 1, 2
+
+
+@lru_cache(maxsize=16)
+def _degree_rules(
+    ratios: tuple[tuple[int, int], ...], n: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The scan's decisions at each reference degree ``deg`` < ``n``,
+    for the (numerator, denominator) pairs ``ratios`` of p(1..t).
+
+    Returns ``(need1, action)``: ``need1[deg]`` = ceil(p(1)·deg), the
+    kept degree level 1 needs, and ``action[deg]`` one of
+    ``_PASS`` (no threshold above level 1 rose from deg - 1 to deg),
+    ``_PROBE_THEN_KEEP`` (ceil(p(2)·deg) > deg - 1: without a shared kept
+    neighbour level 2 fails) or ``_PROBE_THEN_BFS`` (any other rise).
+    """
+    (num1, den1), *upper = ratios
+    need1 = [-(-num1 * deg // den1) for deg in range(n)]
+    action = [_PASS] * n
+    if upper:
+        num2, den2 = upper[0]
+        for deg in range(1, n):
+            old = deg - 1
+            if num2 * deg > den2 * old:
+                action[deg] = _PROBE_THEN_KEEP
+            elif any(-(-num * deg // den) != -(-num * old // den) for num, den in upper):
+                action[deg] = _PROBE_THEN_BFS
+    return tuple(need1), tuple(action)  # shared by every caller: read-only
+
+
 def _share_kept_neighbor(a: list[int], b: list[int], mark: list[int], stamp: int) -> bool:
     """Do the kept rows ``a`` and ``b`` have a vertex in common?
 
@@ -233,7 +269,7 @@ def _scan(
     endpoint y, deg = |reference[x]| (y included) and old = deg - 1:
 
     - level 1 is exact in O(1): every kept edge at x is a reference edge
-      of x and (x, y) is not kept yet, so the count is |kept_adj[x]|;
+      of x and (x, y) is not kept yet, so the count is x's kept degree;
     - a level i >= 2 whose threshold ceil(p(i)·deg) equals
       ceil(p(i)·old) passes, since the invariant already gives the old
       reference set that many vertices within i hops;
@@ -242,10 +278,12 @@ def _scan(
       every level from 2 up passes;
     - with no shared kept neighbour y is beyond 2 hops, so the level-2
       count is at most old and ceil(p(2)·deg) > old fails, at any t;
-    - anything else runs the exact depth-t BFS of :func:`_levels_ok`.
+    - anything else runs the exact depth-t check.
 
-    The probe is symmetric, so it runs at most once per edge, and only
-    when an endpoint needs it. The flags are those of a BFS per endpoint.
+    :func:`_degree_rules` tabulates the first, second and fourth rule per
+    degree. The probe is symmetric, so it runs at most once per edge, and
+    only when an endpoint needs it. The flags are those of a BFS per
+    endpoint.
 
     ``prev`` may hold the flags of a scan over this order with positions
     ``swap = (i, j)``, i < j, exchanged; then only the decisions the swap
@@ -255,12 +293,34 @@ def _scan(
     (positions i and j mapped across the swap), every later decision
     repeats and the rest of ``prev`` is copied. The flags are identical
     to a full scan's.
+
+    Graphs of at most :data:`MASK_SCAN_MAX_N` vertices run
+    :func:`_mask_scan` at t >= 2, the rest :func:`_list_scan`; both give
+    the same flags. At t = 1 the level-1 count decides every step and no
+    row is read, so the list scan runs there: its appends cost less than
+    mask updates.
     """
-    ratios = [(p.numerator, p.denominator) for p in pf.props]
-    num1, den1 = ratios[0]
-    upper = ratios[1:]
-    p2 = pf.at(2)  # p(1) at t = 1, where no level above 1 is probed
-    num2, den2 = p2.numerator, p2.denominator
+    scan = _mask_scan if n <= MASK_SCAN_MAX_N and pf.t > 1 else _list_scan
+    return scan(n, edges, pf, prev, swap)
+
+
+def _rejoins(flags: list[bool], prev: Sequence[bool], i: int, j: int) -> bool:
+    """Did the scan keep, up to the second swapped position j, the edges
+    ``prev`` kept, with positions i and j mapped across the swap?"""
+    return flags[i] == prev[j] and flags[j] == prev[i] and flags[i + 1 : j] == prev[i + 1 : j]
+
+
+def _list_scan(
+    n: int,
+    edges: Sequence[Edge],
+    pf: ProportionFunction,
+    prev: Sequence[bool] | None = None,
+    swap: tuple[int, int] = (0, 0),
+) -> list[bool]:
+    """:func:`_scan` on adjacency lists, probing with :func:`_share_kept_neighbor`
+    and checking depth t with :func:`_levels_ok`."""
+    ratios = tuple((p.numerator, p.denominator) for p in pf.props)
+    need1, action = _degree_rules(ratios, n)
 
     reference: list[list[int]] = [[] for _ in range(n)]  # replayed prefix
     kept_adj: list[list[int]] = [[] for _ in range(n)]
@@ -285,36 +345,126 @@ def _scan(
         shared = None  # the probe's answer, once it has run
         for x in edge:
             deg = len(reference[x])
-            if len(kept_adj[x]) * den1 < num1 * deg:
+            if len(kept_adj[x]) < need1[deg]:
                 keep = True
                 break
-            old = deg - 1
-            for num, den in upper:
-                if -(-num * deg // den) != -(-num * old // den):
-                    break  # a threshold above level 1 rose
-            else:
-                continue  # none rose: the invariant's counts suffice
+            rule = action[deg]
+            if rule == _PASS:
+                continue
             if shared is None:
                 shared = _share_kept_neighbor(kept_adj[u], kept_adj[v], mark, k)
             if shared:
                 continue
-            if num2 * deg > den2 * old:
-                keep = True  # y is beyond 2 hops: level 2 counts at most old
-                break
-            if not _levels_ok(x, reference[x], kept_adj, ratios)[0]:
+            if rule == _PROBE_THEN_KEEP or not _levels_ok(x, reference[x], kept_adj, ratios)[0]:
                 keep = True
                 break
         flags.append(keep)
         if keep:
             kept_adj[u].append(v)
             kept_adj[v].append(u)
-        if (
-            k == j
-            and prev is not None
-            and flags[i] == prev[j]
-            and flags[j] == prev[i]
-            and flags[i + 1 : j] == prev[i + 1 : j]
-        ):
+        if k == j and prev is not None and _rejoins(flags, prev, i, j):
+            flags.extend(prev[j + 1 :])
+            break
+    return flags
+
+
+def _mask_levels_ok(
+    x: int, deg: int, ref: int, kept: list[int], ratios: Sequence[tuple[int, int]]
+) -> bool:
+    """:func:`_levels_ok`'s verdict for ``x`` on bitmask rows, given that
+    level 1 passes.
+
+    ``ref`` is x's reference row as a mask, ``deg`` its popcount, and
+    ``kept[w]`` w's kept row. Each level from 2 up ORs the kept rows of
+    the frontier into the reached mask and counts the reference
+    neighbours in it; the check stops once that count reaches
+    ceil(p(t)·deg).
+    """
+    num, den = ratios[-1]
+    need = -(-num * deg // den)
+    frontier = kept[x]  # level 1: every kept neighbour is a reference one
+    if frontier.bit_count() >= need:
+        return True
+    reach = frontier | 1 << x
+    for num, den in ratios[1:]:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= kept[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & ~reach
+        reach |= frontier
+        count = (reach & ref).bit_count()
+        if count >= need:
+            return True
+        if count * den < num * deg:
+            return False
+    raise AssertionError("level t passes only once the count reaches need")
+
+
+def _mask_scan(
+    n: int,
+    edges: Sequence[Edge],
+    pf: ProportionFunction,
+    prev: Sequence[bool] | None = None,
+    swap: tuple[int, int] = (0, 0),
+) -> list[bool]:
+    """:func:`_scan` on bitmask rows: bit w of ``ref[x]`` (``kept[x]``) is
+    set when (x, w) is a reference (kept) edge. The probe is
+    ``kept[u] & kept[v]`` and the depth-t check :func:`_mask_levels_ok`."""
+    ratios = tuple((p.numerator, p.denominator) for p in pf.props)
+    need1, action = _degree_rules(ratios, n)
+
+    ref = [0] * n  # replayed prefix
+    kept = [0] * n
+    deg = [0] * n
+    kept_deg = [0] * n
+    flags: list[bool] = []
+    i, j = swap
+    if prev is not None:
+        for k in range(i):
+            u, v = edges[k]
+            ref[u] |= 1 << v
+            ref[v] |= 1 << u
+            deg[u] += 1
+            deg[v] += 1
+            if prev[k]:
+                kept[u] |= 1 << v
+                kept[v] |= 1 << u
+                kept_deg[u] += 1
+                kept_deg[v] += 1
+        flags = list(prev[:i])
+    for k in range(len(flags), len(edges)):
+        edge = edges[k]
+        u, v = edge
+        ref[u] |= 1 << v
+        ref[v] |= 1 << u
+        deg[u] += 1
+        deg[v] += 1
+        keep = False
+        shared = None  # the probe's answer, once it has run
+        for x in edge:
+            d = deg[x]
+            if kept_deg[x] < need1[d]:
+                keep = True
+                break
+            rule = action[d]
+            if rule == _PASS:
+                continue
+            if shared is None:
+                shared = kept[u] & kept[v]
+            if shared:
+                continue
+            if rule == _PROBE_THEN_KEEP or not _mask_levels_ok(x, d, ref[x], kept, ratios):
+                keep = True
+                break
+        flags.append(keep)
+        if keep:
+            kept[u] |= 1 << v
+            kept[v] |= 1 << u
+            kept_deg[u] += 1
+            kept_deg[v] += 1
+        if k == j and prev is not None and _rejoins(flags, prev, i, j):
             flags.extend(prev[j + 1 :])
             break
     return flags

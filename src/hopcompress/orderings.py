@@ -67,8 +67,8 @@ class SaParams:
     def __post_init__(self):
         if self.iterations < 0:
             raise ValueError("iterations must be >= 0")
-        if self.t0 <= 0:
-            raise ValueError("t0 must be positive")
+        if not 0 < self.t0 < math.inf:
+            raise ValueError("t0 must be positive and finite")
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must be in (0, 1)")
 
@@ -135,9 +135,11 @@ def sa_compress(g: Graph, pf: ProportionFunction, params: SaParams) -> Compressi
     Each trial swaps two distinct positions, recompresses, keeps the
     swapped order on strict improvement and otherwise with probability
     exp((current cost - new cost) / T); the exponent is never positive,
-    so the acceptance chance shrinks as T cools. The best order seen is
-    tracked and compressed once more for the returned result, whose
-    ``seconds`` covers the whole search.
+    so the acceptance chance shrinks as T cools. Once T underflows to 0
+    only an equal-cost swap is accepted, the limit of that chance; the
+    draw is still made, so the stream does not shift. The best order
+    seen is tracked and compressed once more for the returned result,
+    whose ``seconds`` covers the whole search.
 
     A trial does not rescan the whole order: it replays the decisions
     before the first swapped position from the current order's keep
@@ -174,7 +176,11 @@ def sa_compress(g: Graph, pf: ProportionFunction, params: SaParams) -> Compressi
             cost_current = cost
         else:
             r = rng.random()
-            if math.exp((cost_current - cost) / temperature) > r:
+            if temperature:
+                accept = math.exp((cost_current - cost) / temperature) > r
+            else:
+                accept = cost == cost_current  # the limit at T = 0
+            if accept:
                 current, flags = candidate, candidate_flags
                 cost_current = cost
         temperature *= params.alpha

@@ -59,6 +59,28 @@ class TestCompress:
     def test_non_monotone_p_is_config_error(self, triangle_file):
         assert main(["compress", triangle_file, "--p", "0.9,0.5"]) == 1
 
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ("--sa-t0", "nan"),
+            ("--sa-t0", "inf"),
+            ("--sa-t0", "0"),
+            ("--sa-alpha", "1"),
+            ("--sa-iters", "-1"),
+        ],
+        ids=" ".join,
+    )
+    def test_invalid_sa_params_is_config_error(self, triangle_file, option, capsys):
+        code = main(["compress", triangle_file, "--p", "0,1", "--ordering", "sa", *option])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: invalid SA parameters: ")
+
+    def test_sa_survives_temperature_underflow(self, capsys):
+        # T reaches 0.0 after about 1080 trials at alpha=0.5
+        args = ["compress", "zachary", "--p", "0,1/2", "--ordering", "sa"]
+        assert main(args + ["--sa-alpha", "0.5", "--sa-iters", "1200"]) == 0
+        assert json.loads(capsys.readouterr().out)["verified"] is True
+
     def test_missing_input_is_io_error(self):
         assert main(["compress", "/nonexistent/g.txt", "--p", "1"]) == 2
 

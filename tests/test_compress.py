@@ -14,7 +14,8 @@ from hopcompress import (
     random_order,
     verify,
 )
-from hopcompress.compress import _levels_ok, _scan
+import hopcompress.compress as compress_module
+from hopcompress.compress import MASK_SCAN_MAX_N, _levels_ok, _list_scan, _mask_scan, _scan
 
 from conftest import oracle_satisfies, oracle_violations, proportion_functions, small_graphs
 
@@ -195,13 +196,20 @@ class TestCompressBasic:
 
 
 class TestScan:
-    """``_scan`` decides most steps without a BFS; its flags must not move."""
+    """``_scan`` decides most steps without a BFS; its flags must not move.
+
+    Each test runs both implementations on the same case.
+    """
+
+    SCANS = (_list_scan, _mask_scan)
 
     @settings(max_examples=400, deadline=None)
     @given(case=scan_cases())
     def test_flags_match_bfs_reference(self, case):
         g, order, pf = case
-        assert _scan(g.n, order, pf) == reference_scan(g.n, order, pf)
+        expected = reference_scan(g.n, order, pf)
+        for scan in self.SCANS:
+            assert scan(g.n, order, pf) == expected, scan.__name__
 
     @settings(max_examples=200, deadline=None)
     @given(case=scan_cases(), data=st.data())
@@ -213,7 +221,9 @@ class TestScan:
         i, j = sorted(data.draw(positions))
         prev = reference_scan(g.n, order, pf)
         order[i], order[j] = order[j], order[i]
-        assert _scan(g.n, order, pf, prev, (i, j)) == reference_scan(g.n, order, pf)
+        expected = reference_scan(g.n, order, pf)
+        for scan in self.SCANS:
+            assert scan(g.n, order, pf, prev, (i, j)) == expected, scan.__name__
 
     @pytest.mark.parametrize("pf", EDGE_CASE_PROPORTIONS, ids=str)
     def test_flags_match_bfs_reference_on_clustered_graphs(self, pf):
@@ -224,28 +234,49 @@ class TestScan:
             base = gen_gnm(16, 45, seed)
             g = Graph.from_edges(17, list(base.edges()) + [(16, v) for v in range(0, 16, 2)])
             order = list(random_order(g, seed).edges)
-            assert _scan(g.n, order, pf) == reference_scan(g.n, order, pf)
+            expected = reference_scan(g.n, order, pf)
+            for scan in self.SCANS:
+                assert scan(g.n, order, pf) == expected, scan.__name__
 
     def test_level_two_rule_decides_without_bfs_at_t3(self, monkeypatch):
         # at p=0,1,1 the first edge lifts both endpoints' level-2 threshold
         # from 0 to 1 with no kept neighbour shared: kept with no BFS
-        import hopcompress.compress as compress_module
         from hopcompress import gen_gnm
 
         pf = ProportionFunction.parse("0,1,1")
         g = gen_gnm(12, 30, 0)
         order = list(random_order(g, 0).edges)
         expected = reference_scan(g.n, order, pf)
-        calls = []
+        for scan, bfs in ((_list_scan, "_levels_ok"), (_mask_scan, "_mask_levels_ok")):
+            calls = []
+            real = getattr(compress_module, bfs)
 
-        def counting(*args):
-            calls.append(args[0])
-            return _levels_ok(*args)
+            def counting(*args, real=real):
+                calls.append(args[0])
+                return real(*args)
 
-        monkeypatch.setattr(compress_module, "_levels_ok", counting)
-        assert _scan(g.n, order[:1], pf) == [True]
-        assert calls == []
-        assert _scan(g.n, order, pf) == expected
+            monkeypatch.setattr(compress_module, bfs, counting)
+            assert scan(g.n, order[:1], pf) == [True]
+            assert calls == [], scan.__name__
+            assert scan(g.n, order, pf) == expected, scan.__name__
+
+    @pytest.mark.parametrize(
+        ("n", "p", "expected"),
+        [
+            (MASK_SCAN_MAX_N, "0,1/2", "_mask_scan"),
+            (MASK_SCAN_MAX_N + 1, "0,1/2", "_list_scan"),
+            (2, "0,1/2", "_mask_scan"),
+            (2, "1/2", "_list_scan"),  # t = 1 reads no rows
+        ],
+    )
+    def test_vertex_count_picks_the_scan(self, monkeypatch, n, p, expected):
+        chosen = []
+        for name in ("_list_scan", "_mask_scan"):
+            monkeypatch.setattr(
+                compress_module, name, lambda *args, name=name: chosen.append(name) or []
+            )
+        _scan(n, [(0, 1)], ProportionFunction.parse(p))
+        assert chosen == [expected]
 
 
 class TestVerify:

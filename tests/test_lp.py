@@ -28,7 +28,7 @@ from hopcompress import (
 )
 from hopcompress.lp import MAX_EDGES, MAX_PATH_VARS, MAX_T, LpRow
 
-from conftest import small_graphs
+from conftest import small_graphs, solve
 
 # lp_order(builtin("zachary"), "1/2,1") from HiGHS
 ZACHARY_LP_ORDER = (
@@ -60,6 +60,17 @@ def row_tags(model):
     for row in model.rows:
         tags[row.tag] = tags.get(row.tag, 0) + 1
     return tags
+
+
+def edge_model(rows, witness_at_upper):
+    """A hand-built model whose variables are all edge variables (cost 1)."""
+    n = 1 + max(var for row in rows for var, _ in row.coeffs)
+    return LpModel(
+        edges=tuple((0, k + 1) for k in range(n)),
+        paths=((),) * n,
+        rows=tuple(rows),
+        witness_at_upper=tuple(witness_at_upper),
+    )
 
 
 class TestBuildLp:
@@ -217,6 +228,64 @@ class TestSolveLp:
             optimum, _ = brute_force_optimal(g, pf)
             assert solution.objective <= optimum + 1e-7
             assert solution.objective <= g.m + 1e-7
+
+
+class TestKnownInstances:
+    def test_simple_minimization(self):
+        # min -x - y subject to x + y <= 1, both in [0, 1]
+        _, objective, _ = solve([-1, -1], [[1, 1]], ["<="], [1])
+        assert objective == pytest.approx(-1, abs=1e-9)
+
+    def test_bound_flip_only(self):
+        # no binding row: optimum sits on the upper bounds
+        x, objective, _ = solve([-2, -3], [[1, 1]], ["<="], [10])
+        assert x == pytest.approx([1, 1])
+        assert objective == pytest.approx(-5)
+
+    def test_equality_rows(self):
+        model = edge_model([LpRow(coeffs=((0, 1.0), (1, 1.0)), sense="=", rhs=1.0, tag="eq")], [0])
+        with pytest.raises(ValueError, match="sense '='"):
+            solve_lp(model)
+
+    def test_infeasible(self):
+        # x <= 1 can never reach x >= 2
+        with pytest.raises(SizeLimitError, match="kInfeasible .*use the ec or random ordering"):
+            solve([1], [[1]], [">="], [2])
+
+    def test_degenerate_cycling_guard(self):
+        # Beale's classic cycling example for naive pricing, unit bounds
+        c = [-0.75, 150, -0.02, 6]
+        a = [
+            [0.25, -60, -0.04, 9],
+            [0.5, -90, -0.02, 3],
+            [0, 0, 1, 0],
+        ]
+        _, objective, _ = solve(c, a, ["<="] * 3, [0, 0, 1])
+        assert objective == pytest.approx(-0.05, abs=1e-9)
+
+    def test_negative_rhs(self):
+        # x - y <= -1 forces y >= x + 1
+        _, objective, _ = solve([0, 1], [[1, -1]], ["<="], [-1])
+        assert objective == pytest.approx(1, abs=1e-9)
+
+    def test_iteration_limit(self, lp_iteration_limit):
+        with pytest.raises(SizeLimitError, match="kIterationLimit .*use the ec or random ordering"):
+            solve([-1, -1], [[1, 1]], ["<="], [1])
+
+    def test_crash_start_used(self):
+        # witness: both vars at upper satisfies the row
+        row = LpRow(coeffs=((0, 1.0), (1, 1.0)), sense=">=", rhs=1.0, tag="cover")
+        model = edge_model([row], [0, 1])
+        solution = solve_lp(model)
+        assert solution.status == "optimal"
+        assert solution.objective == pytest.approx(1, abs=1e-9)
+
+    def test_crash_start_rejects_infeasible_point(self):
+        # all-at-upper violates the <= row, so the model is malformed
+        row = LpRow(coeffs=((0, 1.0), (1, 1.0)), sense="<=", rhs=1.0, tag="cap")
+        model = edge_model([row], [0, 1])
+        with pytest.raises(ValueError, match="violates row 0"):
+            solve_lp(model)
 
 
 class TestLpOrder:

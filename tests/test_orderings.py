@@ -52,8 +52,14 @@ def oracle_sa(g, pf, params):
             best, cost_best = candidate, cost
         if cost < cost_current:
             current, cost_current = candidate, cost
-        elif math.exp((cost_current - cost) / temperature) > rng.random():
-            current, cost_current = candidate, cost
+        else:
+            # at T = 0, the limit: weight 1 for an equal cost, 0 for a worse one
+            if temperature:
+                weight = math.exp((cost_current - cost) / temperature)
+            else:
+                weight = float(cost == cost_current)
+            if weight > rng.random():
+                current, cost_current = candidate, cost
         temperature *= params.alpha
     return tuple(best), compress_basic(g, pf, best).kept
 
@@ -178,10 +184,29 @@ class TestSaCompress:
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
             SaParams(iterations=-1)
-        with pytest.raises(ValueError):
-            SaParams(t0=0)
+        for t0 in (0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="t0 must be positive and finite"):
+                SaParams(t0=t0)
         with pytest.raises(ValueError):
             SaParams(alpha=1.0)
+
+    def test_temperature_underflow_takes_the_cold_limit(self, monkeypatch):
+        # alpha=0.5 cools 10.0 to exactly 0.0 after about 1080 trials
+        params = SaParams(iterations=1200, alpha=0.5, seed=2)
+        assert params.t0 * params.alpha**1100 == 0.0
+        pf = ProportionFunction.parse("0,1/2")
+        g = gen_gnm(12, 30, 4)
+        final_orders = []
+
+        def spy(g, pf, order):
+            final_orders.append(order.edges)
+            return compress_basic(g, pf, order)
+
+        monkeypatch.setattr(orderings_module, "compress_basic", spy)
+        result = sa_compress(g, pf, params)
+        best, kept = oracle_sa(g, pf, params)
+        assert final_orders[-1] == best
+        assert result.kept == kept
 
     @settings(max_examples=25, deadline=None)
     @given(g=small_graphs(min_n=3), seed=...)
