@@ -13,7 +13,6 @@ from .compress import (
     ProportionFunction,
     VerificationReport,
     Violation,
-    check_node,
     compress_basic,
     verify,
 )
@@ -39,7 +38,6 @@ from .graph import (
     Graph,
     canonical_edge,
     enumerate_simple_paths,
-    k_hop_neighbors,
     load_edge_list,
     write_edge_list,
 )
@@ -82,7 +80,6 @@ __all__ = [
     "build_lp",
     "builtin",
     "canonical_edge",
-    "check_node",
     "compress_basic",
     "compression_ratio",
     "dump_lp",
@@ -90,7 +87,6 @@ __all__ = [
     "ec_scores",
     "enumerate_simple_paths",
     "gen_gnm",
-    "k_hop_neighbors",
     "load_edge_list",
     "lp_order",
     "random_order",

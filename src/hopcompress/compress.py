@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InvalidOrderingError, NotASubgraphError
 from .graph import Edge, Graph, canonical_edge
@@ -160,26 +160,6 @@ def _levels_ok(
             return False, level, count
         frontier = nxt
     raise AssertionError("level t passes only once the count reaches need")
-
-
-def check_node(
-    v: int,
-    base_neighbors: Iterable[int],
-    gc: Graph | Sequence[Sequence[int]],
-    pf: ProportionFunction,
-) -> bool:
-    """Does ``v`` satisfy every hop-level constraint in ``gc``?
-
-    ``base_neighbors`` is v's direct neighborhood in the reference graph
-    (the full graph during verification, the replayed prefix during
-    compression). True iff for each i in 1..t at least p(i) of the base
-    neighbors lies within i hops of v in ``gc``.
-    """
-    adjacency = gc.adjacency if isinstance(gc, Graph) else gc
-    ratios = [(p.numerator, p.denominator) for p in pf.props]
-    base = set(base_neighbors)
-    ok, _, _ = _levels_ok(v, base, adjacency, ratios)
-    return ok
 
 
 def _validate_ordering(g: Graph, edges: Sequence[Edge]) -> None:

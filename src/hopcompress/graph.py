@@ -187,33 +187,6 @@ def write_edge_list(g: Graph, out: IO[str]) -> None:
                     out.write(f"{u} {v}\n")
 
 
-def k_hop_neighbors(g: Graph, v: int, k: int) -> set[int]:
-    """All vertices at distance ``1..k`` from ``v`` (``v`` itself excluded).
-
-    Depth-bounded BFS, O(n + m) worst case.
-    """
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    adjacency = g.adjacency
-    seen = {v}
-    result: set[int] = set()
-    frontier = [v]
-    for _ in range(k):
-        nxt: list[int] = []
-        for x in frontier:
-            for y in adjacency[x]:
-                if y not in seen:
-                    seen.add(y)
-                    result.add(y)
-                    nxt.append(y)
-        if not nxt:
-            break
-        frontier = nxt
-    return result
-
-
 def hop_distance(adjacency: Sequence[Sequence[int]], source: int, target: int) -> int | None:
     """Hop distance from ``source`` to ``target``, or None when unreachable.
 

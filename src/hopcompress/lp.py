@@ -67,17 +67,6 @@ class LpModel:
     def num_vars(self) -> int:
         return len(self.edges) + sum(len(p) for p in self.paths)
 
-    def var_name(self, index: int) -> str:
-        if index < len(self.edges):
-            u, v = self.edges[index]
-            return f"x_{u}_{v}"
-        k = index - len(self.edges)
-        for (u, v), group in zip(self.edges, self.paths):
-            if k < len(group):
-                return f"f_{u}_{v}_{k}"
-            k -= len(group)
-        raise IndexError(index)
-
 
 @dataclass(frozen=True)
 class LpSolution:
@@ -92,7 +81,7 @@ def build_lp(g: Graph, pf: ProportionFunction) -> LpModel:
 
     Emits, in order: one "path-needs-edge" row per (path, edge on path)
     pair, one "one-route-per-edge" row per edge, and one "coverage" row
-    per (vertex with neighbors, hop level). Raises
+    per (vertex with neighbors, hop level with p(level) > 0). Raises
     :class:`SizeLimitError` beyond the size guards, where the
     edge-connectivity or random orderings are the sensible choice: more
     than :data:`MAX_EDGES` edges, ``t`` above :data:`MAX_T`, or more than
@@ -157,12 +146,14 @@ def build_lp(g: Graph, pf: ProportionFunction) -> LpModel:
             edge_index[(u, w) if u < w else (w, u)] for w in g.adjacency[u]
         ]
         for level in range(1, t + 1):
+            required = pf.at(level) * degree
+            if required == 0:
+                continue  # a sum of non-negative variables is always >= 0
             coeffs = []
             for k in incident:
                 for path, fvar in zip(paths_per_edge[k], f_index[k]):
                     if len(path) - 1 <= level:
                         coeffs.append((fvar, 1.0))
-            required = pf.at(level) * degree
             rows.append(
                 LpRow(
                     coeffs=tuple(coeffs),
@@ -204,13 +195,13 @@ def solve_lp(model: LpModel) -> LpSolution:
     simplex iteration count.
     """
     n = model.num_vars
-    rows = _active_rows(model)
+    rows = _rowwise(model)
 
     witness = np.zeros(n)
     witness[list(model.witness_at_upper)] = 1.0
     row, gap = _worst_row(rows, witness)
     if gap > 0.0:
-        raise ValueError(f"witness point violates row {rows.source[row]} by {gap:g}")
+        raise ValueError(f"witness point violates row {row} by {gap:g}")
 
     costs = np.zeros(n)
     costs[: len(model.edges)] = 1.0
@@ -219,7 +210,7 @@ def solve_lp(model: LpModel) -> LpSolution:
     row, gap = _worst_row(rows, x)
     if gap > 1e-7:
         raise SizeLimitError(
-            f"LP solution violates row {rows.source[row]} by {gap:g} (numerical trouble in "
+            f"LP solution violates row {row} by {gap:g} (numerical trouble in "
             "the solver); use the ec or random ordering"
         )
 
@@ -232,52 +223,49 @@ def solve_lp(model: LpModel) -> LpSolution:
 
 
 class _Rows(NamedTuple):
-    """Constraint rows as (row, column, value) triplets with row bounds."""
+    """Constraint rows in compressed row form, with row bounds.
 
-    row_of: np.ndarray
+    Row i holds the entries ``start[i]:start[i + 1]`` of ``col`` and ``coeff``.
+    """
+
+    start: np.ndarray
     col: np.ndarray
     coeff: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    source: list[int]  # index in ``LpModel.rows`` of each row
 
 
-def _active_rows(model: LpModel) -> _Rows:
-    """The rows HiGHS sees.
+def _rowwise(model: LpModel) -> _Rows:
+    """Every row of ``model``, in model order, as HiGHS is given them.
 
-    Coverage rows asking for nothing (p(i) = 0) hold trivially since
-    every variable is non-negative, so they are left out. A sense other
-    than ``<=`` or ``>=`` raises ValueError.
+    A sense other than ``<=`` or ``>=`` raises ValueError.
     """
+    start, col, coeff = [0], [], []
     for r in model.rows:
         if r.sense not in ("<=", ">="):
             raise ValueError(f"unsupported sense {r.sense!r}; rows must be <= or >=")
-    source = [
-        i for i, r in enumerate(model.rows) if not (r.sense == ">=" and r.rhs <= 0.0)
-    ]
-    row_of, col, coeff = [], [], []
-    for k, i in enumerate(source):
-        for var, c in model.rows[i].coeffs:
-            row_of.append(k)
+        for var, c in r.coeffs:
             col.append(var)
             coeff.append(c)
-    rhs = np.array([model.rows[i].rhs for i in source], dtype=float)
-    at_most = np.array([model.rows[i].sense == "<=" for i in source], dtype=bool)
+        start.append(len(col))
+    rhs = np.array([r.rhs for r in model.rows], dtype=float)
+    at_most = np.array([r.sense == "<=" for r in model.rows], dtype=bool)
     return _Rows(
-        row_of=np.array(row_of, dtype=np.int32),
+        start=np.array(start, dtype=np.int32),
         col=np.array(col, dtype=np.int32),
         coeff=np.array(coeff, dtype=float),
         lower=np.where(at_most, -np.inf, rhs),
         upper=np.where(at_most, rhs, np.inf),
-        source=source,
     )
 
 
 def _worst_row(rows: _Rows, x) -> tuple[int, float]:
     """The row ``x`` breaks by the most, and by how much (<= 0 if none)."""
-    if not rows.source:
+    m = rows.lower.size
+    if m == 0:
         return -1, 0.0
-    lhs = np.bincount(rows.row_of, weights=rows.coeff * x[rows.col], minlength=len(rows.source))
+    row_of = np.repeat(np.arange(m), np.diff(rows.start))
+    lhs = np.bincount(row_of, weights=rows.coeff * x[rows.col], minlength=m)
     gaps = np.maximum(lhs - rows.upper, rows.lower - lhs)
     row = int(np.argmax(gaps))
     return row, float(gaps[row])
@@ -302,7 +290,7 @@ def _highs_solve(costs, rows: _Rows):
     raises SizeLimitError.
     """
     core = _highs_core()
-    n, m = costs.size, len(rows.source)
+    n, m = costs.size, rows.lower.size
     lp = core.HighsLp()
     lp.num_col_ = n
     lp.num_row_ = m
@@ -311,14 +299,13 @@ def _highs_solve(costs, rows: _Rows):
     lp.col_upper_ = np.ones(n)
     lp.row_lower_ = rows.lower
     lp.row_upper_ = rows.upper
-    by_column = np.argsort(rows.col, kind="stable")
     matrix = lp.a_matrix_
-    matrix.format_ = core.MatrixFormat.kColwise
+    matrix.format_ = core.MatrixFormat.kRowwise
     matrix.num_col_ = n
     matrix.num_row_ = m
-    matrix.start_ = np.concatenate(([0], np.cumsum(np.bincount(rows.col, minlength=n))))
-    matrix.index_ = rows.row_of[by_column]
-    matrix.value_ = rows.coeff[by_column]
+    matrix.start_ = rows.start
+    matrix.index_ = rows.col
+    matrix.value_ = rows.coeff
 
     highs = core._Highs()
     for name, value in _HIGHS_OPTIONS:
@@ -370,14 +357,17 @@ def _highs_core():
 
 def dump_lp(model: LpModel) -> str:
     """Human-readable LP text (objective, rows, bounds) for cross-checking."""
+    names = [f"x_{u}_{v}" for u, v in model.edges]
+    for (u, v), group in zip(model.edges, model.paths):
+        names.extend(f"f_{u}_{v}_{k}" for k in range(len(group)))
     lines = ["Minimize"]
-    objective = " + ".join(model.var_name(i) for i in range(len(model.edges)))
+    objective = " + ".join(names[: len(model.edges)])
     lines.append(f" obj: {objective}")
     lines.append("Subject To")
     for i, row in enumerate(model.rows):
         terms = []
         for var, coeff in row.coeffs:
-            name = model.var_name(var)
+            name = names[var]
             if coeff == 1.0:
                 terms.append(f"+ {name}")
             elif coeff == -1.0:
@@ -387,7 +377,7 @@ def dump_lp(model: LpModel) -> str:
         body = " ".join(terms).lstrip("+ ")
         lines.append(f" c{i}: {body} {row.sense} {row.rhs:g}")
     lines.append("Bounds")
-    for i in range(model.num_vars):
-        lines.append(f" 0 <= {model.var_name(i)} <= 1")
+    for name in names:
+        lines.append(f" 0 <= {name} <= 1")
     lines.append("End")
     return "\n".join(lines) + "\n"

@@ -2,8 +2,7 @@
 
 Every oracle here is deliberately written from first principles (plain
 recursion, all-pairs BFS) so it shares no code path with the package.
-The fixtures and the dense-row ``solve`` helper of the HiGHS tests sit
-here too.
+The shared fixtures sit here too.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from hypothesis import strategies as st
 
 import hopcompress.lp
 from hopcompress import Graph, ProportionFunction, Violation, enumerate_simple_paths
-from hopcompress.lp import _highs_solve, _Rows
 
 
 def recursive_simple_paths(g: Graph, u: int, v: int, max_len: int) -> list[tuple[int, ...]]:
@@ -100,27 +98,6 @@ def proportion_functions(draw, max_t: int = 3):
         )
     )
     return ProportionFunction(tuple(values))
-
-
-def dense_rows(a, senses, b) -> _Rows:
-    """``a[i] . x (senses[i]) b[i]`` as the triplet rows HiGHS is given."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    row_of, col = np.nonzero(a)
-    at_most = np.array([sense == "<=" for sense in senses])
-    return _Rows(
-        row_of=row_of.astype(np.int32),
-        col=col.astype(np.int32),
-        coeff=a[row_of, col],
-        lower=np.where(at_most, -np.inf, b),
-        upper=np.where(at_most, b, np.inf),
-        source=list(range(len(senses))),
-    )
-
-
-def solve(c, a, senses, b):
-    """min c.x over the rows with 0 <= x <= 1: (x, objective, iterations)."""
-    return _highs_solve(np.asarray(c, dtype=float), dense_rows(a, senses, b))
 
 
 @pytest.fixture

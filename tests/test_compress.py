@@ -9,7 +9,6 @@ from hopcompress import (
     InvalidOrderingError,
     NotASubgraphError,
     ProportionFunction,
-    check_node,
     compress_basic,
     random_order,
     verify,
@@ -81,25 +80,18 @@ class TestProportionFunction:
             ProportionFunction.parse("")
 
 
-class TestCheckNode:
+class TestLevelsOk:
     def test_distance_two_neighbor_counts(self):
         # v=0 keeps neighbor 1 adjacent; neighbor 2 is two hops away
         gc = Graph.from_edges(4, [(0, 1), (1, 2)])
-        pf = ProportionFunction.parse("1/2,1")
-        assert check_node(0, {1, 2}, gc, pf) is True
+        assert _levels_ok(0, {1, 2}, gc.adjacency, [(1, 2), (1, 1)]) == (True, 0, 2)
 
     def test_isolated_vertex_with_no_base(self):
-        gc = Graph.from_edges(2, [])
-        assert check_node(0, set(), gc, ProportionFunction.parse("1")) is True
+        assert _levels_ok(0, set(), [[], []], [(1, 1)]) == (True, 0, 0)
 
     def test_unreachable_base_neighbor(self):
-        gc = Graph.from_edges(2, [])
-        pf = ProportionFunction.parse("0,1")
-        assert check_node(0, {1}, gc, pf) is False
-
-    def test_accepts_raw_adjacency(self):
-        pf = ProportionFunction.parse("1")
-        assert check_node(0, {1}, [[1], [0]], pf) is True
+        # p = 0,1: level 1 passes with nothing reached, level 2 fails
+        assert _levels_ok(0, {1}, [[], []], [(0, 1), (1, 1)]) == (False, 2, 0)
 
 
 class TestCompressBasic:

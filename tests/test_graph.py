@@ -10,7 +10,6 @@ from hopcompress import (
     EdgeListFormatError,
     Graph,
     enumerate_simple_paths,
-    k_hop_neighbors,
     load_edge_list,
     write_edge_list,
 )
@@ -163,41 +162,6 @@ class TestGraphInvariants:
     def test_handshaking(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
         assert 2 * g.m == sum(len(a) for a in g.adjacency)
-
-
-class TestKHopNeighbors:
-    def test_star_center(self):
-        star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-        assert k_hop_neighbors(star, 0, 1) == {1, 2, 3}
-
-    def test_star_leaf_two_hops(self):
-        star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-        assert k_hop_neighbors(star, 1, 2) == {0, 2, 3}
-
-    def test_path_one_hop(self):
-        path = Graph.from_edges(3, [(0, 1), (1, 2)])
-        assert k_hop_neighbors(path, 0, 1) == {1}
-
-    def test_excludes_self(self, triangle):
-        assert 0 not in k_hop_neighbors(triangle, 0, 3)
-
-    def test_bad_arguments(self, triangle):
-        with pytest.raises(ValueError):
-            k_hop_neighbors(triangle, 5, 1)
-        with pytest.raises(ValueError):
-            k_hop_neighbors(triangle, 0, 0)
-
-    @settings(max_examples=60, deadline=None)
-    @given(g=small_graphs())
-    def test_monotone_growth_and_edge_membership(self, g):
-        for v in range(g.n):
-            previous = set()
-            for k in range(1, 4):
-                current = k_hop_neighbors(g, v, k)
-                assert previous <= current
-                previous = current
-        for u, v in g.edges():
-            assert v in k_hop_neighbors(g, u, 1)
 
 
 class TestEnumerateSimplePaths:

@@ -8,6 +8,7 @@ import textwrap
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy.optimize import linprog
 
 import hopcompress
 from hopcompress import (
@@ -26,9 +27,9 @@ from hopcompress import (
     solve_lp,
     verify,
 )
-from hopcompress.lp import MAX_EDGES, MAX_PATH_VARS, MAX_T, LpRow
+from hopcompress.lp import MAX_EDGES, MAX_PATH_VARS, MAX_T, LpRow, _highs_solve, _Rows
 
-from conftest import small_graphs, solve
+from conftest import small_graphs
 
 # lp_order(builtin("zachary"), "1/2,1") from HiGHS
 ZACHARY_LP_ORDER = (
@@ -53,6 +54,37 @@ FAMILY_LP_FINGERPRINTS = {
     1001: ("0x1.9351fdfd86a34p+3", 472, "66403cb2f39b67f5b99194a7bb8f32f51d2e59bec5e0b55a0ea46f69c1a5b7e3"),
     1002: ("0x1.6682050faa10cp+3", 374, "c5b7473a0b4ffb9b73427bf01a8a9abaf21d42c210b9223039fa7f234c075b81"),
 }
+
+
+def dense_rows(a, senses, b) -> _Rows:
+    """``a[i] . x (senses[i]) b[i]`` as the row-wise form HiGHS is given."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    row_of, col = np.nonzero(a)  # row by row
+    at_most = np.array([sense == "<=" for sense in senses])
+    return _Rows(
+        start=np.concatenate(([0], np.cumsum(np.count_nonzero(a, axis=1)))).astype(np.int32),
+        col=col.astype(np.int32),
+        coeff=a[row_of, col],
+        lower=np.where(at_most, -np.inf, b),
+        upper=np.where(at_most, b, np.inf),
+    )
+
+
+def solve(c, a, senses, b):
+    """min c.x over the rows with 0 <= x <= 1: (x, objective, iterations)."""
+    return _highs_solve(np.asarray(c, dtype=float), dense_rows(a, senses, b))
+
+
+def scipy_reference(c, a, senses, b):
+    flip = np.array([1.0 if sense == "<=" else -1.0 for sense in senses])
+    return linprog(
+        c,
+        A_ub=np.asarray(a) * flip[:, None],
+        b_ub=np.asarray(b) * flip,
+        bounds=[(0, 1)] * len(c),
+        method="highs",
+    )
 
 
 def row_tags(model):
@@ -102,7 +134,9 @@ class TestBuildLp:
         path_edges = sum(len(p) - 1 for group in model.paths for p in group)
         assert tags["path-needs-edge"] == path_edges
         assert tags["one-route-per-edge"] == diamond.m
-        assert tags["coverage"] == diamond.n * pf.t
+        # p(1) = 0: only level 2 asks for anything
+        assert tags["coverage"] == diamond.n
+        assert all(row.rhs > 0 for row in model.rows if row.sense == ">=")
 
     def test_size_guards(self, triangle):
         with pytest.raises(SizeLimitError, match=f"{MAX_EDGES + 1} edges exceeds the LP guard of {MAX_EDGES};"):
@@ -280,12 +314,49 @@ class TestKnownInstances:
         assert solution.status == "optimal"
         assert solution.objective == pytest.approx(1, abs=1e-9)
 
+    def test_row_with_zero_rhs_is_kept(self):
+        # x - f >= 0 binds once f >= 1 forces f up, so the optimum is 1
+        rows = [
+            LpRow(coeffs=((0, 1.0), (1, -1.0)), sense=">=", rhs=0.0, tag="path-needs-edge"),
+            LpRow(coeffs=((1, 1.0),), sense=">=", rhs=1.0, tag="coverage"),
+        ]
+        model = LpModel(
+            edges=((0, 1),), paths=(((0, 1),),), rows=tuple(rows), witness_at_upper=(0, 1)
+        )
+        solution = solve_lp(model)
+        assert solution.objective == pytest.approx(1, abs=1e-9)
+        assert solution.edge_values == {(0, 1): 1.0}
+
     def test_crash_start_rejects_infeasible_point(self):
         # all-at-upper violates the <= row, so the model is malformed
         row = LpRow(coeffs=((0, 1.0), (1, 1.0)), sense="<=", rhs=1.0, tag="cap")
         model = edge_model([row], [0, 1])
         with pytest.raises(ValueError, match="violates row 0"):
             solve_lp(model)
+
+
+class TestAgainstScipy:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_lps(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            m = int(rng.integers(1, 8))
+            n = int(rng.integers(1, 8))
+            a = rng.integers(-3, 4, size=(m, n)).astype(float)
+            c = rng.integers(-5, 6, size=n).astype(float)
+            senses = [str(rng.choice(["<=", ">="])) for _ in range(m)]
+            # the rhs leaves slack 0..2 at a random 0/1 point
+            start = np.nonzero(rng.random(n) < 0.5)[0]
+            lhs = a[:, start].sum(axis=1)
+            slack = rng.integers(0, 3, size=m)
+            b = np.where(np.array(senses) == "<=", lhs + slack, lhs - slack)
+
+            x, objective, _ = solve(c, a, senses, b)
+            ref = scipy_reference(c, a, senses, b)
+            assert ref.status == 0
+            assert objective == pytest.approx(ref.fun, abs=1e-6, rel=1e-6)
+            assert np.all(x >= -1e-9)
+            assert np.all(x <= 1 + 1e-9)
 
 
 class TestLpOrder:
@@ -402,3 +473,11 @@ class TestDump:
         assert "x_0_1" in text and "f_0_1_0" in text
         assert "Subject To" in text and "Bounds" in text
         assert "0 <= x_0_1 <= 1" in text
+
+    def test_path_variables_named_per_edge(self, triangle):
+        text = dump_lp(build_lp(triangle, ProportionFunction.parse("0,1")))
+        # the last variable is the second path of edge (1, 2)
+        assert text.endswith(" 0 <= f_1_2_1 <= 1\nEnd\n")
+        # p(1) = 0, so vertex 0's only coverage row is level 2's, after 12 others
+        assert " c12: f_0_1_0 + f_0_1_1 + f_0_2_0 + f_0_2_1 >= 2\n" in text
+        assert " c15:" not in text
