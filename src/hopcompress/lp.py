@@ -6,7 +6,8 @@ edge carries "flow" certifying that those endpoints stay close. The
 relaxation allows fractional values in [0, 1]. :func:`solve_lp` solves
 it with the dual revised simplex of HiGHS (Huangfu & Hall, Math. Prog.
 Comp. 2018), whose extension module scipy ships; it is loaded on the
-first solve, without importing ``scipy.optimize``. Sorting edges by
+first solve, without importing ``scipy.optimize``. numpy, used only
+here, is imported on the first solve too. Sorting edges by
 descending x_e, snapped to a 1e-9 grid, with ties broken by canonical
 edge, yields the ordering fed to the compressor
 (:func:`hopcompress.orderings.lp_order`).
@@ -23,13 +24,14 @@ import importlib.machinery
 import importlib.util
 import pathlib
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .compress import ProportionFunction
 from .errors import SizeLimitError
 from .graph import Edge, Graph, Path, enumerate_simple_paths
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_EDGES = 5000
 MAX_T = 3
@@ -194,6 +196,8 @@ def solve_lp(model: LpModel) -> LpSolution:
     ``objective`` is HiGHS's unrounded objective and ``iterations`` its
     simplex iteration count.
     """
+    import numpy as np
+
     n = model.num_vars
     rows = _rowwise(model)
 
@@ -240,6 +244,8 @@ def _rowwise(model: LpModel) -> _Rows:
 
     A sense other than ``<=`` or ``>=`` raises ValueError.
     """
+    import numpy as np
+
     start, col, coeff = [0], [], []
     for r in model.rows:
         if r.sense not in ("<=", ">="):
@@ -261,6 +267,8 @@ def _rowwise(model: LpModel) -> _Rows:
 
 def _worst_row(rows: _Rows, x) -> tuple[int, float]:
     """The row ``x`` breaks by the most, and by how much (<= 0 if none)."""
+    import numpy as np
+
     m = rows.lower.size
     if m == 0:
         return -1, 0.0
@@ -289,6 +297,8 @@ def _highs_solve(costs, rows: _Rows):
     columns is optimal at zero. Any other HiGHS status than optimal
     raises SizeLimitError.
     """
+    import numpy as np
+
     core = _highs_core()
     n, m = costs.size, rows.lower.size
     lp = core.HighsLp()

@@ -13,7 +13,10 @@ import dataclasses
 import math
 import random
 import time
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from .compress import CompressionResult, ProportionFunction, _scan, compress_basic
 from .graph import Edge, Graph, enumerate_simple_paths
@@ -87,20 +90,71 @@ def ec_scores(g: Graph, t: int) -> dict[Edge, int]:
     between u and v adds one to the score of each edge it traverses
     (the direct edge counts itself). High scores mark bridge-like
     edges whose removal would hurt many short detours.
+
+    Up to ``t = 3`` the paths are counted, not listed. A detour of two
+    edges closes a triangle with the edge it joins, one of three edges a
+    4-cycle, so an edge scores 1, plus 2 per triangle through it (the
+    detours of the triangle's other two edges), plus, at ``t = 3``, 3 per
+    4-cycle through it (those of the cycle's other three edges). Both
+    counts walk each edge from its endpoint of lower (degree, id) rank,
+    so their cost is the sum over edges of the smaller degree. Longer
+    horizons enumerate the paths.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    scores = dict.fromkeys(g.edges(), 0)
-    for u, v in g.edges():
-        for path in enumerate_simple_paths(g, u, v, t):
-            for a, b in zip(path, path[1:]):
-                scores[(a, b) if a < b else (b, a)] += 1
+    if t > 3:
+        scores = dict.fromkeys(g.edges(), 0)
+        for u, v in g.edges():
+            for path in enumerate_simple_paths(g, u, v, t):
+                for a, b in zip(path, path[1:]):
+                    scores[(a, b) if a < b else (b, a)] += 1
+        return scores
+    scores = dict.fromkeys(g.edges(), 1)
+    if t == 1:
+        return scores
+    adj = g.adjacency
+    order = sorted(range(g.n), key=lambda v: len(adj[v]))  # stable: (degree, id)
+    rank = [0] * g.n
+    for r, v in enumerate(order):
+        rank[v] = r
+    if t == 3:
+        rank_of = rank.__getitem__
+        by_rank = [sorted(row, key=rank_of) for row in adj]
+    for u in order:
+        ru = rank[u]
+        lower = [v for v in adj[u] if rank[v] < ru]
+        if not lower:
+            continue
+        row = set(adj[u])  # one set at a time, for the higher-ranked endpoint
+        for v in lower:
+            scores[(u, v) if u < v else (v, u)] += 2 * len(row.intersection(adj[v]))
+        if t == 3:
+            # A 4-cycle is found once, from its top-ranked vertex u and the
+            # vertex w opposite it, as two wedges u-v-w. When k wedges join
+            # u to w, each wedge's two edges lie on k - 1 of these cycles.
+            wedges = []
+            for v in lower:
+                ranked = by_rank[v]
+                wedges.append(ranked[: bisect_left(ranked, ru, key=rank_of)])
+            joins = Counter(chain.from_iterable(wedges))
+            for v, ends in zip(lower, wedges):
+                cycles = sum(map(joins.__getitem__, ends)) - len(ends)
+                if cycles:
+                    scores[(u, v) if u < v else (v, u)] += 3 * cycles
+                    for w in ends:
+                        if joins[w] > 1:
+                            scores[(v, w) if v < w else (w, v)] += 3 * (joins[w] - 1)
     return scores
 
 
 def _descending(scores: dict[Edge, float]) -> tuple[Edge, ...]:
-    """Edges by descending score, ties by canonical id."""
-    return tuple(sorted(scores, key=lambda e: (-scores[e], e)))
+    """Edges by descending score, ties by canonical id.
+
+    A reverse sort keeps equal keys in input order, so the canonical
+    edges sorted by score alone come out with their ties broken, and no
+    key tuple is built per edge.
+    """
+    return tuple(sorted(sorted(scores), key=scores.__getitem__, reverse=True))
 
 
 def ec_order(g: Graph, t: int) -> EdgeOrdering:

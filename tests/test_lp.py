@@ -419,8 +419,17 @@ class TestHighsLoading:
             import hopcompress
             from hopcompress.lp import _highs_core
             assert not any(k == "scipy" or k.startswith("scipy.") for k in sys.modules)
+            assert "numpy" not in sys.modules
             assert _highs_core.cache_info().currsize == 0
-            hopcompress.lp_order(hopcompress.builtin("diamond"), hopcompress.ProportionFunction.parse("1/2,1"))
+            g = hopcompress.builtin("diamond")
+            pf = hopcompress.ProportionFunction.parse("1/2,1")
+            for strategy in ("random", "ec", "sa"):
+                result = hopcompress.run_strategy(g, pf, strategy)
+                assert hopcompress.verify(g, result.subgraph(), pf).ok
+            hopcompress.sp_histogram(g)
+            assert "numpy" not in sys.modules
+            hopcompress.lp_order(g, pf)
+            assert "numpy" in sys.modules
             assert _highs_core.cache_info().currsize == 1
             assert "scipy.optimize" not in sys.modules and "scipy.sparse" not in sys.modules
             # scipy's own HiGHS still works in the same process afterwards

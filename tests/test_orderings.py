@@ -1,9 +1,11 @@
 import math
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopcompress import (
     Graph,
@@ -106,10 +108,51 @@ class TestEcScores:
         assert sum(scores.values()) == total_edges_on_paths
 
     @settings(max_examples=60, deadline=None)
-    @given(g=small_graphs(), t=...)
-    def test_matches_pairwise_oracle(self, g, t: bool):
-        horizon = 3 if t else 2
-        assert ec_scores(g, horizon) == oracle_ec_scores(g, horizon)
+    @given(g=small_graphs(), t=st.integers(1, 4))
+    def test_matches_pairwise_oracle(self, g, t: int):
+        assert ec_scores(g, t) == oracle_ec_scores(g, t)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 30),
+        density=st.floats(0, 1),
+        seed=st.integers(0, 2**32 - 1),
+        t=st.integers(1, 4),
+    )
+    def test_gnm_matches_pairwise_oracle(self, n, density, seed, t):
+        m = int(density * min(90, n * (n - 1) // 2))
+        g = gen_gnm(n, m, seed)
+        assert ec_scores(g, t) == oracle_ec_scores(g, t)
+
+    @pytest.mark.parametrize(
+        "g, t, score",
+        [
+            (Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)]), 3, 4),
+            (Graph.from_edges(4, combinations(range(4), 2)), 2, 5),
+            (Graph.from_edges(4, combinations(range(4), 2)), 3, 11),
+            (Graph.from_edges(5, combinations(range(5), 2)), 2, 7),
+            (Graph.from_edges(5, combinations(range(5), 2)), 3, 25),
+            # two disjoint triangles and an isolated vertex: no 4-cycle
+            (Graph.from_edges(7, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]), 2, 3),
+            (Graph.from_edges(7, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]), 3, 3),
+            # a hub: every spoke lies on its own direct path only
+            (Graph.from_edges(2001, [(0, leaf) for leaf in range(1, 2001)]), 2, 1),
+            (Graph.from_edges(2001, [(0, leaf) for leaf in range(1, 2001)]), 3, 1),
+        ],
+        ids=["C4-t3", "K4-t2", "K4-t3", "K5-t2", "K5-t3", "triangles-t2", "triangles-t3",
+             "star2000-t2", "star2000-t3"],
+    )
+    def test_exact_scores(self, g, t, score):
+        assert ec_scores(g, t) == dict.fromkeys(g.edges(), score)
+
+    def test_edgeless_graph(self):
+        g = Graph.from_edges(5, [])
+        for t in (1, 2, 3, 4):
+            assert ec_scores(g, t) == {}
+
+    def test_rejects_t_zero(self, triangle):
+        with pytest.raises(ValueError, match="t must be >= 1"):
+            ec_scores(triangle, 0)
 
 
 class TestEcOrder:
@@ -128,6 +171,12 @@ class TestEcOrder:
 
     def test_deterministic(self, diamond):
         assert ec_order(diamond, 2) == ec_order(diamond, 2)
+
+    def test_descending_breaks_ties_by_canonical_edge(self):
+        scores = {(2, 3): 1, (0, 3): 0.5, (1, 2): 1, (0, 2): 2, (0, 1): 1, (1, 3): 2}
+        assert orderings_module._descending(scores) == (
+            (0, 2), (1, 3), (0, 1), (1, 2), (2, 3), (0, 3)
+        )
 
 
 class TestSaCompress:
