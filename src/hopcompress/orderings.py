@@ -13,14 +13,11 @@ import dataclasses
 import math
 import random
 import time
-from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 
 from .compress import CompressionResult, ProportionFunction, _scan, compress_basic
 from .graph import Edge, Graph, enumerate_simple_paths
-from .lp import build_lp, solve_lp
+from .lp import _highs_core, build_lp, solve_lp
 
 # every accepted strategy name -> its canonical name; the CLI choices and
 # normalize_strategy read this table
@@ -91,18 +88,16 @@ def ec_scores(g: Graph, t: int) -> dict[Edge, int]:
     (the direct edge counts itself). High scores mark bridge-like
     edges whose removal would hurt many short detours.
 
-    Up to ``t = 3`` the paths are counted, not listed. A detour of two
-    edges closes a triangle with the edge it joins, one of three edges a
-    4-cycle, so an edge scores 1, plus 2 per triangle through it (the
-    detours of the triangle's other two edges), plus, at ``t = 3``, 3 per
-    4-cycle through it (those of the cycle's other three edges). Both
-    counts walk each edge from its endpoint of lower (degree, id) rank,
-    so their cost is the sum over edges of the smaller degree. Longer
-    horizons enumerate the paths.
+    Up to ``t = 2`` the paths are counted, not listed. A detour of two
+    edges closes a triangle with the edge it joins, so an edge scores 1,
+    plus, at ``t = 2``, 2 per triangle through it (the detours of the
+    triangle's other two edges). The count walks each edge from its
+    endpoint of lower (degree, id) rank, so its cost is the sum over
+    edges of the smaller degree. Longer horizons enumerate the paths.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    if t > 3:
+    if t > 2:
         scores = dict.fromkeys(g.edges(), 0)
         for u, v in g.edges():
             for path in enumerate_simple_paths(g, u, v, t):
@@ -117,9 +112,6 @@ def ec_scores(g: Graph, t: int) -> dict[Edge, int]:
     rank = [0] * g.n
     for r, v in enumerate(order):
         rank[v] = r
-    if t == 3:
-        rank_of = rank.__getitem__
-        by_rank = [sorted(row, key=rank_of) for row in adj]
     for u in order:
         ru = rank[u]
         lower = [v for v in adj[u] if rank[v] < ru]
@@ -128,22 +120,6 @@ def ec_scores(g: Graph, t: int) -> dict[Edge, int]:
         row = set(adj[u])  # one set at a time, for the higher-ranked endpoint
         for v in lower:
             scores[(u, v) if u < v else (v, u)] += 2 * len(row.intersection(adj[v]))
-        if t == 3:
-            # A 4-cycle is found once, from its top-ranked vertex u and the
-            # vertex w opposite it, as two wedges u-v-w. When k wedges join
-            # u to w, each wedge's two edges lie on k - 1 of these cycles.
-            wedges = []
-            for v in lower:
-                ranked = by_rank[v]
-                wedges.append(ranked[: bisect_left(ranked, ru, key=rank_of)])
-            joins = Counter(chain.from_iterable(wedges))
-            for v, ends in zip(lower, wedges):
-                cycles = sum(map(joins.__getitem__, ends)) - len(ends)
-                if cycles:
-                    scores[(u, v) if u < v else (v, u)] += 3 * cycles
-                    for w in ends:
-                        if joins[w] > 1:
-                            scores[(v, w) if v < w else (w, v)] += 3 * (joins[w] - 1)
     return scores
 
 
@@ -252,12 +228,15 @@ def run_strategy(
     sa_params: SaParams | None = None,
 ) -> CompressionResult:
     """Compress under one named strategy; ``seconds`` spans the ordering
-    (or the annealing search) and the scan.
+    (or the annealing search) and the scan, but not the one-time load of
+    the LP solver, so strategies compare by their own work.
 
     ``seed`` drives the random order and the annealing stream (it
     overrides ``sa_params.seed`` so paired trials share their start).
     """
     strategy = normalize_strategy(strategy)
+    if strategy == "lp":
+        _highs_core()  # loads numpy with it
     start = time.perf_counter()
     if strategy == "sa":
         result = sa_compress(g, pf, dataclasses.replace(sa_params or SaParams(), seed=seed))

@@ -441,6 +441,27 @@ class TestHighsLoading:
         assert done.returncode == 0, done.stderr
         assert done.stdout == "ok\n"
 
+    def test_run_strategy_loads_the_solver_before_its_clock(self):
+        done = run_python(
+            """
+            import sys, time, types
+            import hopcompress
+            import hopcompress.orderings as orderings
+            from hopcompress.lp import _highs_core
+            loaded = []
+            def perf_counter():
+                loaded.append(("numpy" in sys.modules, _highs_core.cache_info().currsize))
+                return time.perf_counter()
+            orderings.time = types.SimpleNamespace(perf_counter=perf_counter)
+            pf = hopcompress.ProportionFunction.parse("1/2,1")
+            hopcompress.run_strategy(hopcompress.builtin("diamond"), pf, "lp")
+            assert loaded[0] == (True, 1), loaded
+            print("ok")
+            """
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "ok\n"
+
     def test_missing_extension_names_path_and_version(self, tmp_path):
         fake = tmp_path / "scipy"
         fake.mkdir()
