@@ -58,7 +58,7 @@ def _load_graph(path: str) -> Graph:
             return load_edge_list(handle)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_IO) from exc
-    except EdgeListFormatError as exc:
+    except (EdgeListFormatError, UnicodeDecodeError) as exc:
         raise CliError(f"{path}: {exc}", EXIT_CONFIG) from exc
 
 
@@ -238,17 +238,17 @@ def cmd_eval(args) -> int:
         print(f"bfs seconds: original {secs_g:.6f}, compressed {secs_c:.6f}, speed-up {speedup:.3f}")
         return EXIT_OK
     gc = _load_onto(g, args.compressed)
-    if args.metric == "stretch":
-        report = stretch_check(g, gc, args.t)
-        print(f"ok: {report.ok}  max stretch: {report.max_stretch}")
-        return EXIT_OK if report.ok else EXIT_VIOLATION
-    if args.metric == "ratio":
-        try:
+    try:
+        if args.metric == "stretch":
+            report = stretch_check(g, gc, args.t)
+            print(f"ok: {report.ok}  max stretch: {report.max_stretch}")
+            return EXIT_OK if report.ok else EXIT_VIOLATION
+        if args.metric == "ratio":
             ratio = compression_ratio(g, gc)
-        except ValueError as exc:  # an edgeless original
-            raise CliError(str(exc), EXIT_CONFIG) from exc
-        print(f"{float(ratio):.4f} ({ratio})")
-        return EXIT_OK
+            print(f"{float(ratio):.4f} ({ratio})")
+            return EXIT_OK
+    except ValueError as exc:  # t < 1, or an edgeless original
+        raise CliError(str(exc), EXIT_CONFIG) from exc
     raise CliError(f"unknown eval metric {args.metric!r}", EXIT_CONFIG)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import InvalidOrderingError, NotASubgraphError
 from .graph import Edge, Graph, canonical_edge
@@ -118,7 +118,7 @@ class CompressionResult:
 
 def _levels_ok(
     v: int,
-    base: Sequence[int] | frozenset[int] | set[int],
+    base: Iterable[int],
     adjacency: Sequence[Sequence[int]],
     ratios: Sequence[tuple[int, int]],
 ) -> tuple[bool, int, int]:
@@ -136,7 +136,7 @@ def _levels_ok(
     have passed and the count only grows, so every level passes. A
     failure reports the same level and count as a full-depth BFS.
     """
-    base_set = base if isinstance(base, (set, frozenset)) else set(base)
+    base_set = set(base)
     deg = len(base_set)
     num, den = ratios[-1]
     need = -(-num * deg // den)
@@ -268,19 +268,17 @@ def _scan(
     ``prev`` may hold the flags of a scan over this order with positions
     ``swap = (i, j)``, i < j, exchanged; then only the decisions the swap
     can change are scanned. Decisions before i see the same prefix, so
-    they are replayed from ``prev`` without a BFS. After position j the
-    prefix holds the same edges again; if it also kept the same ones
-    (positions i and j mapped across the swap), every later decision
-    repeats and the rest of ``prev`` is copied. The flags are identical
-    to a full scan's.
+    the loop appends those edges and takes their flags from ``prev``.
+    After position j the prefix holds the same edges again; if it also
+    kept the same ones (positions i and j mapped across the swap), every
+    later decision repeats and the rest of ``prev`` is copied. The flags
+    are identical to a full scan's.
 
     Graphs of at most :data:`MASK_SCAN_MAX_N` vertices run
-    :func:`_mask_scan` at t >= 2, the rest :func:`_list_scan`; both give
-    the same flags. At t = 1 the level-1 count decides every step and no
-    row is read, so the list scan runs there: its appends cost less than
-    mask updates.
+    :func:`_mask_scan`, the rest :func:`_list_scan`; both give the same
+    flags.
     """
-    scan = _mask_scan if n <= MASK_SCAN_MAX_N and pf.t > 1 else _list_scan
+    scan = _mask_scan if n <= MASK_SCAN_MAX_N else _list_scan
     return scan(n, edges, pf, prev, swap)
 
 
@@ -302,42 +300,35 @@ def _list_scan(
     ratios = tuple((p.numerator, p.denominator) for p in pf.props)
     need1, action = _degree_rules(ratios, n)
 
-    reference: list[list[int]] = [[] for _ in range(n)]  # replayed prefix
+    reference: list[list[int]] = [[] for _ in range(n)]
     kept_adj: list[list[int]] = [[] for _ in range(n)]
     mark = [-1] * n
     flags: list[bool] = []
-    i, j = swap
-    if prev is not None:
-        for k in range(i):
-            u, v = edges[k]
-            reference[u].append(v)
-            reference[v].append(u)
-            if prev[k]:
-                kept_adj[u].append(v)
-                kept_adj[v].append(u)
-        flags = list(prev[:i])
-    for k in range(len(flags), len(edges)):
-        edge = edges[k]
+    i, j = swap  # without prev, i = 0: every position is decided
+    for k, edge in enumerate(edges):
         u, v = edge
         reference[u].append(v)
         reference[v].append(u)
-        keep = False
-        shared = None  # the probe's answer, once it has run
-        for x in edge:
-            deg = len(reference[x])
-            if len(kept_adj[x]) < need1[deg]:
-                keep = True
-                break
-            rule = action[deg]
-            if rule == _PASS:
-                continue
-            if shared is None:
-                shared = _share_kept_neighbor(kept_adj[u], kept_adj[v], mark, k)
-            if shared:
-                continue
-            if rule == _PROBE_THEN_KEEP or not _levels_ok(x, reference[x], kept_adj, ratios)[0]:
-                keep = True
-                break
+        if k < i:
+            keep = prev[k]
+        else:
+            keep = False
+            shared = None  # the probe's answer, once it has run
+            for x in edge:
+                deg = len(reference[x])
+                if len(kept_adj[x]) < need1[deg]:
+                    keep = True
+                    break
+                rule = action[deg]
+                if rule == _PASS:
+                    continue
+                if shared is None:
+                    shared = _share_kept_neighbor(kept_adj[u], kept_adj[v], mark, k)
+                if shared:
+                    continue
+                if rule == _PROBE_THEN_KEEP or not _levels_ok(x, reference[x], kept_adj, ratios)[0]:
+                    keep = True
+                    break
         flags.append(keep)
         if keep:
             kept_adj[u].append(v)
@@ -395,49 +386,38 @@ def _mask_scan(
     ratios = tuple((p.numerator, p.denominator) for p in pf.props)
     need1, action = _degree_rules(ratios, n)
 
-    ref = [0] * n  # replayed prefix
+    ref = [0] * n
     kept = [0] * n
     deg = [0] * n
     kept_deg = [0] * n
     flags: list[bool] = []
-    i, j = swap
-    if prev is not None:
-        for k in range(i):
-            u, v = edges[k]
-            ref[u] |= 1 << v
-            ref[v] |= 1 << u
-            deg[u] += 1
-            deg[v] += 1
-            if prev[k]:
-                kept[u] |= 1 << v
-                kept[v] |= 1 << u
-                kept_deg[u] += 1
-                kept_deg[v] += 1
-        flags = list(prev[:i])
-    for k in range(len(flags), len(edges)):
-        edge = edges[k]
+    i, j = swap  # without prev, i = 0: every position is decided
+    for k, edge in enumerate(edges):
         u, v = edge
         ref[u] |= 1 << v
         ref[v] |= 1 << u
         deg[u] += 1
         deg[v] += 1
-        keep = False
-        shared = None  # the probe's answer, once it has run
-        for x in edge:
-            d = deg[x]
-            if kept_deg[x] < need1[d]:
-                keep = True
-                break
-            rule = action[d]
-            if rule == _PASS:
-                continue
-            if shared is None:
-                shared = kept[u] & kept[v]
-            if shared:
-                continue
-            if rule == _PROBE_THEN_KEEP or not _mask_levels_ok(x, d, ref[x], kept, ratios):
-                keep = True
-                break
+        if k < i:
+            keep = prev[k]
+        else:
+            keep = False
+            shared = None  # the probe's answer, once it has run
+            for x in edge:
+                d = deg[x]
+                if kept_deg[x] < need1[d]:
+                    keep = True
+                    break
+                rule = action[d]
+                if rule == _PASS:
+                    continue
+                if shared is None:
+                    shared = kept[u] & kept[v]
+                if shared:
+                    continue
+                if rule == _PROBE_THEN_KEEP or not _mask_levels_ok(x, d, ref[x], kept, ratios):
+                    keep = True
+                    break
         flags.append(keep)
         if keep:
             kept[u] |= 1 << v

@@ -21,8 +21,9 @@ class FamilySpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
+        for name, low in (("count", 1), ("n", 0), ("m", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
         if self.m > self.n * (self.n - 1) // 2:
             raise ValueError(f"m={self.m} exceeds capacity of n={self.n}")
 

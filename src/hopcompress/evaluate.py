@@ -81,6 +81,8 @@ def stretch_check(g: Graph, gc: Graph, t: int) -> StretchReport:
     Each edge of ``g`` missing from ``gc`` must be bridged by a path of
     at most ``t`` hops; reports the longest such detour observed.
     """
+    if t < 1:
+        raise ValueError("t must be >= 1")
     require_subgraph(g, gc)
     worst = 1.0
     for u, v in g.edges():

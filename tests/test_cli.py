@@ -1,5 +1,6 @@
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 
@@ -54,7 +55,7 @@ class TestCompress:
         out = tmp_path / "kept.txt"
         code = main(["compress", triangle_file, "--p", "1.0", "-o", str(out)])
         assert code == 0
-        assert out.read_text() == open(triangle_file).read()
+        assert out.read_text() == Path(triangle_file).read_text()
 
     def test_non_monotone_p_is_config_error(self, triangle_file):
         assert main(["compress", triangle_file, "--p", "0.9,0.5"]) == 1
@@ -213,6 +214,11 @@ class TestGenAndEval:
     def test_gen_rejects_overfull(self, tmp_path):
         assert main(["gen", str(tmp_path), "--n", "4", "--m", "10"]) == 1
 
+    @pytest.mark.parametrize(("n", "m", "field"), [("-1", "0", "n"), ("5", "-1", "m")])
+    def test_gen_rejects_negative_size(self, n, m, field, tmp_path, capsys):
+        assert main(["gen", str(tmp_path), "--n", n, "--m", m]) == 1
+        assert capsys.readouterr().err == f"error: {field} must be >= 0\n"
+
     def test_sp_hist_single_graph(self, triangle_file, capsys):
         assert main(["eval", "sp-hist", triangle_file]) == 0
         out = capsys.readouterr().out
@@ -252,6 +258,10 @@ class TestGenAndEval:
     def test_ratio_with_isolated_vertices(self, zachary_file, zachary_p0, capsys):
         assert main(["eval", "ratio", zachary_file, zachary_p0]) == 0
         assert capsys.readouterr().out == "1.0000 (1)\n"
+
+    def test_stretch_rejects_t_below_one(self, triangle_file, capsys):
+        assert main(["eval", "stretch", triangle_file, triangle_file, "--t", "0"]) == 1
+        assert capsys.readouterr() == ("", "error: t must be >= 1\n")
 
     def test_stretch_with_isolated_vertices(self, zachary_file, zachary_p0, capsys):
         assert main(["eval", "stretch", zachary_file, zachary_p0, "--t", "1"]) == 4
@@ -336,6 +346,10 @@ class TestBench:
     def test_bad_family_string(self):
         assert main(["bench", "--family", "8,12", "--p", "1"]) == 1
 
+    def test_negative_family_size(self, capsys):
+        assert main(["bench", "--family", "5,-1,1", "--p", "1"]) == 1
+        assert capsys.readouterr().err == "error: invalid --family value '5,-1,1': m must be >= 0\n"
+
     def test_jobs_env_override(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("HOPCOMPRESS_JOBS", "2")
         code = main(
@@ -377,6 +391,24 @@ class TestEdgeCases:
         assert "Traceback" not in err
         for strategy in ("basic-random", "ec", "sa"):
             assert f"{strategy:<14} {0:>12.2f}" in out
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["compress", "{bad}", "--p", "1"],
+            ["verify", "{good}", "{bad}", "--p", "1"],
+            ["eval", "sp-hist", "{bad}"],
+        ],
+        ids=["compress", "verify", "eval"],
+    )
+    def test_non_utf8_input_is_config_error(self, triangle_file, tmp_path, command, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"1 2\n\xff 3\n")
+        assert main([arg.format(good=triangle_file, bad=bad) for arg in command]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1
 
     def test_empty_graph_roundtrip(self, tmp_path, capsys):
         empty = tmp_path / "empty.txt"

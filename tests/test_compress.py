@@ -258,7 +258,7 @@ class TestScan:
             (MASK_SCAN_MAX_N, "0,1/2", "_mask_scan"),
             (MASK_SCAN_MAX_N + 1, "0,1/2", "_list_scan"),
             (2, "0,1/2", "_mask_scan"),
-            (2, "1/2", "_list_scan"),  # t = 1 reads no rows
+            (2, "1/2", "_mask_scan"),
         ],
     )
     def test_vertex_count_picks_the_scan(self, monkeypatch, n, p, expected):

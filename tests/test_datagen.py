@@ -51,6 +51,11 @@ class TestFamilySpec:
         with pytest.raises(ValueError):
             FamilySpec(count=0, n=4, m=3)
 
+    @pytest.mark.parametrize(("n", "m", "field"), [(-1, 0, "n"), (5, -1, "m")])
+    def test_rejects_negative_size(self, n, m, field):
+        with pytest.raises(ValueError, match=f"^{field} must be >= 0$"):
+            FamilySpec(count=1, n=n, m=m)
+
     def test_describe(self):
         assert FamilySpec(count=30, n=20, m=60, seed=1).describe() == "G(20,60) x30 seed=1"
 

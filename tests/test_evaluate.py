@@ -103,6 +103,10 @@ class TestStretchCheck:
         report = stretch_check(diamond, diamond, 2)
         assert report.ok and report.max_stretch == 1
 
+    def test_rejects_t_below_one(self, diamond):
+        with pytest.raises(ValueError, match="t must be >= 1"):
+            stretch_check(diamond, diamond, 0)
+
 
 class TestBruteForceOptimal:
     def test_diamond(self, diamond):
