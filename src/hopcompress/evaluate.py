@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -193,14 +193,19 @@ def bench_orderings(
 
     Every output is re-verified; a failure aborts loudly since it can
     only mean a compressor bug. Trials are independent, so ``jobs > 1``
-    fans them out across processes without changing any result.
+    fans them out across at most ``min(jobs, trials, cpu count)`` worker
+    processes without changing any result; the process pool is imported
+    only then.
     """
     strategies = [normalize_strategy(s) for s in strategies]
     count = family.count
     seeds = tuple(range(family.seed, family.seed + count))
     tasks = [(family, pf, strategies, seed, sa_params) for seed in seeds]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, count, os.cpu_count() or 1)
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_trial = list(pool.map(_bench_trial, tasks))
     else:
         per_trial = [_bench_trial(task) for task in tasks]

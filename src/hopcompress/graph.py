@@ -33,9 +33,9 @@ class Graph:
     __slots__ = ("n", "m", "adjacency", "labels", "_edges")
 
     def __init__(self, adjacency: Sequence[Iterable[int]], labels: Sequence[int] | None = None):
-        adj = tuple(tuple(sorted(neighbors)) for neighbors in adjacency)
-        n = len(adj)
-        degree_sum = 0
+        self._assign(adjacency, labels)
+        adj = self.adjacency
+        n = self.n
         for u, neighbors in enumerate(adj):
             prev = -1
             for v in neighbors:
@@ -50,13 +50,24 @@ class Graph:
                 if k == len(row) or row[k] != u:
                     raise ValueError(f"asymmetric adjacency: {u}->{v} but not {v}->{u}")
                 prev = v
-            degree_sum += len(neighbors)
-        # handshaking: every edge appears in exactly two adjacency rows
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", degree_sum // 2)
-        object.__setattr__(self, "adjacency", adj)
         if labels is not None and len(labels) != n:
             raise ValueError("labels must have one entry per vertex")
+
+    @classmethod
+    def _from_rows(cls, rows: Sequence[Iterable[int]], labels: Sequence[int] | None) -> Graph:
+        """A graph on rows that are symmetric, duplicate-free and loop-free,
+        with one label per row when labels are given; only sorts the rows."""
+        g = object.__new__(cls)
+        g._assign(rows, labels)
+        return g
+
+    def _assign(self, adjacency: Sequence[Iterable[int]], labels: Sequence[int] | None) -> None:
+        """Sort each row and set every field; checks nothing."""
+        adj = tuple(tuple(sorted(neighbors)) for neighbors in adjacency)
+        object.__setattr__(self, "n", len(adj))
+        # handshaking: every edge appears in exactly two adjacency rows
+        object.__setattr__(self, "m", sum(map(len, adj)) // 2)
+        object.__setattr__(self, "adjacency", adj)
         object.__setattr__(self, "labels", tuple(labels) if labels is not None else None)
         object.__setattr__(self, "_edges", None)
 
@@ -127,10 +138,18 @@ def load_edge_list(source: IO[str] | Iterable[str]) -> Graph:
     """
     labels: list[int] = []
     for line_number, line in enumerate(source, start=1):
+        parts = line.split()
+        if len(parts) == 2:  # the common line: two distinct ASCII decimal ids
+            a, b = parts
+            digits = a + b
+            if digits.isdigit() and digits.isascii():
+                u, v = int(a), int(b)
+                if u != v:
+                    labels += (u, v)
+                    continue
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        parts = stripped.split()
         if len(parts) != 2:
             raise EdgeListFormatError(
                 f"expected two integers, got {stripped!r}", line_number
@@ -166,7 +185,7 @@ def load_edge_list(source: IO[str] | Iterable[str]) -> Graph:
             row[:] = distinct
     if repeats:
         warnings.warn(f"collapsed {repeats // 2} duplicate edge(s)", stacklevel=2)
-    return Graph(rows, labels=ids)
+    return Graph._from_rows(rows, ids)
 
 
 def write_edge_list(g: Graph, out: IO[str]) -> None:

@@ -16,8 +16,13 @@ import time
 from dataclasses import dataclass
 
 from .compress import CompressionResult, ProportionFunction, _scan, compress_basic
+from .errors import SizeLimitError
 from .graph import Edge, Graph, enumerate_simple_paths
 from .lp import _highs_core, build_lp, solve_lp
+
+# edges on the enumerated paths of ec_scores at t >= 3; G(200,1000) at t=4
+# has 0.22M (2.6 s), G(200,1500) 1.58M (18 s) and G(200,2000) 6.5M (86 s)
+MAX_EC_PATH_EDGES = 1_000_000
 
 # every accepted strategy name -> its canonical name; the CLI choices and
 # normalize_strategy read this table
@@ -93,14 +98,24 @@ def ec_scores(g: Graph, t: int) -> dict[Edge, int]:
     plus, at ``t = 2``, 2 per triangle through it (the detours of the
     triangle's other two edges). The count walks each edge from its
     endpoint of lower (degree, id) rank, so its cost is the sum over
-    edges of the smaller degree. Longer horizons enumerate the paths.
+    edges of the smaller degree. Longer horizons enumerate the paths and
+    raise :class:`~hopcompress.errors.SizeLimitError` once the edges on
+    them, counted as they are enumerated, pass :data:`MAX_EC_PATH_EDGES`.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
     if t > 2:
         scores = dict.fromkeys(g.edges(), 0)
+        path_edges = 0
         for u, v in g.edges():
-            for path in enumerate_simple_paths(g, u, v, t):
+            paths = enumerate_simple_paths(g, u, v, t)
+            path_edges += sum(map(len, paths)) - len(paths)
+            if path_edges > MAX_EC_PATH_EDGES:
+                raise SizeLimitError(
+                    f"more than {MAX_EC_PATH_EDGES} edges on paths of at most {t} edges "
+                    "exceed the ec guard; use fewer hop levels or the random ordering instead"
+                )
+            for path in paths:
                 for a, b in zip(path, path[1:]):
                     scores[(a, b) if a < b else (b, a)] += 1
         return scores

@@ -1,5 +1,7 @@
+import concurrent.futures
 import json
 import math
+import os
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -209,6 +211,44 @@ class TestBench:
         serial = bench_orderings(family, pf, ["basic", "ec"], jobs=1)
         parallel = bench_orderings(family, pf, ["basic", "ec"], jobs=2)
         assert [s.mean_kept for s in serial.stats] == [s.mean_kept for s in parallel.stats]
+
+    @pytest.mark.parametrize(
+        "jobs, count, cpus, workers",
+        [
+            (100_000, 2, 8, 2),
+            (3, 30, 8, 3),
+            (100_000, 30, 4, 4),
+            (100_000, 5, None, None),
+            (5, 1, 8, None),
+            (0, 3, 8, None),
+        ],
+    )
+    def test_worker_count_is_bounded(self, monkeypatch, jobs, count, cpus, workers):
+        started = []
+
+        class SerialPool:
+            """Records its size and maps in this process; starts no worker."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        family = FamilySpec(count=count, n=7, m=9, seed=2)
+        pf = ProportionFunction.parse("0,1/2")
+        report = bench_orderings(family, pf, ["basic", "ec"], jobs=jobs)
+        assert started == ([] if workers is None else [workers])
+        serial = bench_orderings(family, pf, ["basic", "ec"], jobs=1)
+        assert [s.mean_kept for s in report.stats] == [s.mean_kept for s in serial.stats]
 
     def test_sa_paired_with_basic_start(self):
         # sa shares the trial seed with basic-random, so it can never

@@ -49,10 +49,17 @@ class TestLoadEdgeList:
         assert g.n == 2 and g.m == 1
         assert sorted(g.edges()) == [(0, 1)]
         assert g.labels == (5, 7)
+        # distinct tokens, equal ids
+        with pytest.warns(UserWarning, match=r"^collapsed 1 duplicate edge\(s\)$"):
+            g = load("01 2\n1 2\n")
+        assert g.m == 1 and g.labels == (1, 2)
 
     def test_self_loop_rejected(self):
         with pytest.raises(EdgeListFormatError, match="self-loop"):
             load("3 3\n")
+        # distinct tokens, equal ids
+        with pytest.raises(EdgeListFormatError, match=r"^line 2: self-loop at vertex 1$"):
+            load("0 1\n01 1\n")
 
     def test_malformed_line_reports_number(self):
         with pytest.raises(EdgeListFormatError, match="line 2"):
@@ -85,6 +92,7 @@ class TestLoadEdgeList:
             g = load(text)
         assert g == Graph.from_edges(len(ids), sorted(canonical), labels=ids)
         assert g.labels == tuple(ids)
+        assert Graph(g.adjacency, labels=g.labels) == g  # the loader's rows pass every check
         expected = [f"collapsed {repeats} duplicate edge(s)"] if repeats else []
         assert [str(w.message) for w in caught] == expected
 

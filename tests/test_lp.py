@@ -441,6 +441,23 @@ class TestHighsLoading:
         assert done.returncode == 0, done.stderr
         assert done.stdout == "ok\n"
 
+    def test_process_pool_imported_only_for_jobs_above_one(self):
+        done = run_python(
+            """
+            import sys
+            import hopcompress
+            pool = ("concurrent.futures", "multiprocessing")
+            assert not any(name in sys.modules for name in pool)
+            family = hopcompress.FamilySpec(count=2, n=6, m=7, seed=0)
+            pf = hopcompress.ProportionFunction.parse("1/2")
+            hopcompress.bench_orderings(family, pf, ["basic", "ec"], jobs=1)
+            assert not any(name in sys.modules for name in pool)
+            print("ok")
+            """
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "ok\n"
+
     def test_run_strategy_loads_the_solver_before_its_clock(self):
         done = run_python(
             """

@@ -11,9 +11,11 @@ from hopcompress import (
     Graph,
     ProportionFunction,
     SaParams,
+    SizeLimitError,
     compress_basic,
     ec_order,
     ec_scores,
+    enumerate_simple_paths,
     gen_gnm,
     random_order,
     sa_compress,
@@ -152,6 +154,24 @@ class TestEcScores:
     def test_rejects_t_zero(self, triangle):
         with pytest.raises(ValueError, match="t must be >= 1"):
             ec_scores(triangle, 0)
+
+    def test_path_edge_budget(self, monkeypatch):
+        k5 = Graph.from_edges(5, combinations(range(5), 2))  # 25 path edges per edge at t=3
+        monkeypatch.setattr(orderings_module, "MAX_EC_PATH_EDGES", 250)
+        assert ec_scores(k5, 3) == dict.fromkeys(k5.edges(), 25)
+        monkeypatch.setattr(orderings_module, "MAX_EC_PATH_EDGES", 0)
+        assert ec_scores(k5, 2) == dict.fromkeys(k5.edges(), 7)  # counted, not enumerated
+        monkeypatch.setattr(orderings_module, "MAX_EC_PATH_EDGES", 49)
+        calls = []
+
+        def counting(g, u, v, max_len):
+            calls.append((u, v))
+            return enumerate_simple_paths(g, u, v, max_len)
+
+        monkeypatch.setattr(orderings_module, "enumerate_simple_paths", counting)
+        with pytest.raises(SizeLimitError, match=r"^more than 49 edges on paths of at most 3 edges exceed the ec guard;"):
+            ec_scores(k5, 3)
+        assert calls == [(0, 1), (0, 2)]
 
 
 class TestEcOrder:
