@@ -7,6 +7,7 @@ be written back in the caller's id space.
 
 from __future__ import annotations
 
+import math
 import warnings
 from bisect import bisect_left
 from typing import IO, Iterable, Iterator, Sequence
@@ -139,32 +140,22 @@ def load_edge_list(source: IO[str] | Iterable[str]) -> Graph:
     labels: list[int] = []
     for line_number, line in enumerate(source, start=1):
         parts = line.split()
-        if len(parts) == 2:  # the common line: two distinct ASCII decimal ids
-            a, b = parts
-            digits = a + b
-            if digits.isdigit() and digits.isascii():
-                u, v = int(a), int(b)
-                if u != v:
-                    labels += (u, v)
-                    continue
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        if not parts or parts[0][0] == "#":
             continue
         if len(parts) != 2:
             raise EdgeListFormatError(
-                f"expected two integers, got {stripped!r}", line_number
+                f"expected two integers, got {line.strip()!r}", line_number
             )
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise EdgeListFormatError(
-                f"non-integer token in {stripped!r}", line_number
-            ) from None
-        if u < 0 or v < 0:
-            raise EdgeListFormatError(f"negative vertex id in {stripped!r}", line_number)
-        digits = parts[0] + parts[1]  # int() also takes "+2", "1_0", "-0" and non-ASCII digits
-        if not (digits.isascii() and digits.isdigit()):
-            raise EdgeListFormatError(f"non-integer token in {stripped!r}", line_number)
+        a, b = parts
+        digits = a + b  # int() also takes "+2", "1_0", "-0" and non-ASCII digits
+        if not (digits.isdigit() and digits.isascii()):
+            try:
+                negative = min(int(a), int(b)) < 0
+            except ValueError:
+                negative = False
+            kind = "negative vertex id" if negative else "non-integer token"
+            raise EdgeListFormatError(f"{kind} in {line.strip()!r}", line_number)
+        u, v = int(a), int(b)
         if u == v:
             raise EdgeListFormatError(f"self-loop at vertex {u}", line_number)
         labels += (u, v)
@@ -242,11 +233,22 @@ def enumerate_simple_paths(g: Graph, u: int, v: int, max_len: int) -> list[Path]
         raise ValueError("endpoints must differ")
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
+    return _simple_paths(g, u, v, max_len, math.inf)[0]
+
+
+def _simple_paths(
+    g: Graph, u: int, v: int, max_len: int, max_scans: float
+) -> tuple[list[Path], int]:
+    """The paths of :func:`enumerate_simple_paths` and the number of
+    adjacency entries the DFS scans for them, which is what its time
+    grows with; stops early, with the count past ``max_scans``, once the
+    count passes it."""
     adjacency = g.adjacency
     paths: list[Path] = []
     on_path = [False] * g.n
     on_path[u] = True
     path = [u]
+    scans = len(adjacency[u])
     # stack of per-vertex neighbor cursors, mirroring `path`
     cursors = [0]
     while cursors:
@@ -264,7 +266,10 @@ def enumerate_simple_paths(g: Graph, u: int, v: int, max_len: int) -> list[Path]
             paths.append(tuple(path) + (v,))
             continue
         if not on_path[y] and len(path) <= max_len - 1:
+            scans += len(adjacency[y])  # every entry of a row pushed is scanned once
+            if scans > max_scans:
+                break
             on_path[y] = True
             path.append(y)
             cursors.append(0)
-    return paths
+    return paths, scans

@@ -57,11 +57,11 @@ class TestCompress:
         assert code == 0
         assert out.read_text() == Path(triangle_file).read_text()
 
-    def test_ec_path_budget_is_config_error(self, zachary_file, monkeypatch, capsys):
-        monkeypatch.setattr("hopcompress.orderings.MAX_EC_PATH_EDGES", 100)
+    def test_ec_scan_budget_is_config_error(self, zachary_file, monkeypatch, capsys):
+        monkeypatch.setattr("hopcompress.orderings.MAX_EC_SCANS", 100)
         assert main(["compress", zachary_file, "--p", "0,0,1/2", "--ordering", "ec"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: more than 100 edges on paths of at most 3 edges exceed the ec guard;")
+        assert err.startswith("error: more than 100 adjacency entries scanned for paths of at most 3 edges exceed the ec guard;")
         assert "Traceback" not in err
 
     def test_non_monotone_p_is_config_error(self, triangle_file):

@@ -1,4 +1,5 @@
 import io
+import math
 import time
 import warnings
 
@@ -13,6 +14,7 @@ from hopcompress import (
     load_edge_list,
     write_edge_list,
 )
+from hopcompress.graph import _simple_paths
 
 from conftest import recursive_simple_paths, small_graphs
 
@@ -73,6 +75,9 @@ class TestLoadEdgeList:
                 load(f"{token} 5\n")
         with pytest.raises(EdgeListFormatError, match=r"^line 1: negative vertex id in"):
             load("-1 2\n")
+        # a token that is not an integer at all wins over a negative one
+        with pytest.raises(EdgeListFormatError, match=r"^line 1: non-integer token in '-1 x'$"):
+            load("-1 x\n")
 
     def test_leading_zeros_and_unicode_spaces_accepted(self):
         g = load("01\u00a0002\n2\u30003\n")
@@ -202,6 +207,35 @@ class TestEnumerateSimplePaths:
                     mine = enumerate_simple_paths(g, u, v, max_len)
                     assert sorted(mine) == recursive_simple_paths(g, u, v, max_len)
                     assert mine == sorted(mine)  # lexicographic emission
+
+    @settings(max_examples=40, deadline=None)
+    @given(g=small_graphs())
+    def test_scan_count(self, g):
+        # the DFS scans the row of u and of every simple path it pushes:
+        # those from u that avoid v and have at most max_len - 1 edges
+        def rows_scanned(path, v, max_len):
+            count = len(g.adjacency[path[-1]])
+            if len(path) < max_len:
+                for y in g.adjacency[path[-1]]:
+                    if y != v and y not in path:
+                        count += rows_scanned(path + (y,), v, max_len)
+            return count
+
+        for u in range(g.n):
+            for v in range(g.n):
+                if u != v:
+                    for max_len in (1, 2, 3):
+                        paths, scans = _simple_paths(g, u, v, max_len, math.inf)
+                        assert paths == enumerate_simple_paths(g, u, v, max_len)
+                        assert scans == rows_scanned((u,), v, max_len)
+
+    def test_scan_budget_stops_the_search(self):
+        k5 = Graph.from_edges(5, [(a, b) for a in range(5) for b in range(a + 1, 5)])
+        paths, scans = _simple_paths(k5, 0, 1, 3, math.inf)
+        assert (len(paths), scans) == (1 + 3 + 6, 4 + 3 * 4 + 6 * 4)
+        assert _simple_paths(k5, 0, 1, 3, 40) == (paths, 40)
+        paths, scans = _simple_paths(k5, 0, 1, 3, 39)
+        assert scans == 40 and len(paths) < 10
 
     @settings(max_examples=40, deadline=None)
     @given(g=small_graphs())

@@ -15,7 +15,6 @@ from hopcompress import (
     compress_basic,
     ec_order,
     ec_scores,
-    enumerate_simple_paths,
     gen_gnm,
     random_order,
     sa_compress,
@@ -23,6 +22,7 @@ from hopcompress import (
 )
 
 import hopcompress.orderings as orderings_module
+from hopcompress.graph import _simple_paths
 
 from conftest import recursive_simple_paths, small_graphs
 
@@ -155,23 +155,34 @@ class TestEcScores:
         with pytest.raises(ValueError, match="t must be >= 1"):
             ec_scores(triangle, 0)
 
-    def test_path_edge_budget(self, monkeypatch):
-        k5 = Graph.from_edges(5, combinations(range(5), 2))  # 25 path edges per edge at t=3
-        monkeypatch.setattr(orderings_module, "MAX_EC_PATH_EDGES", 250)
+    def test_scan_budget(self, monkeypatch):
+        k5 = Graph.from_edges(5, combinations(range(5), 2))  # 40 entries scanned per edge at t=3
+        monkeypatch.setattr(orderings_module, "MAX_EC_SCANS", 400)
         assert ec_scores(k5, 3) == dict.fromkeys(k5.edges(), 25)
-        monkeypatch.setattr(orderings_module, "MAX_EC_PATH_EDGES", 0)
+        monkeypatch.setattr(orderings_module, "MAX_EC_SCANS", 0)
         assert ec_scores(k5, 2) == dict.fromkeys(k5.edges(), 7)  # counted, not enumerated
-        monkeypatch.setattr(orderings_module, "MAX_EC_PATH_EDGES", 49)
+        monkeypatch.setattr(orderings_module, "MAX_EC_SCANS", 79)
         calls = []
 
-        def counting(g, u, v, max_len):
-            calls.append((u, v))
-            return enumerate_simple_paths(g, u, v, max_len)
+        def counting(g, u, v, max_len, max_scans):
+            calls.append((u, v, max_scans))
+            return _simple_paths(g, u, v, max_len, max_scans)
 
-        monkeypatch.setattr(orderings_module, "enumerate_simple_paths", counting)
-        with pytest.raises(SizeLimitError, match=r"^more than 49 edges on paths of at most 3 edges exceed the ec guard;"):
+        monkeypatch.setattr(orderings_module, "_simple_paths", counting)
+        with pytest.raises(
+            SizeLimitError,
+            match=r"^more than 79 adjacency entries scanned for paths of at most 3 edges exceed the ec guard;",
+        ):
             ec_scores(k5, 3)
-        assert calls == [(0, 1), (0, 2)]
+        assert calls == [(0, 1, 79), (0, 2, 39)]
+
+    def test_scan_budget_counts_dead_ends(self, monkeypatch):
+        # one path per edge, but the search from the hub scans every leaf
+        star = Graph.from_edges(201, [(0, leaf) for leaf in range(1, 201)])
+        assert ec_scores(star, 3) == dict.fromkeys(star.edges(), 1)
+        monkeypatch.setattr(orderings_module, "MAX_EC_SCANS", 200 * 399 - 1)
+        with pytest.raises(SizeLimitError, match="ec guard"):
+            ec_scores(star, 3)
 
 
 class TestEcOrder:
