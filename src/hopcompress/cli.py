@@ -107,14 +107,21 @@ def _write_text(path: str, text: str) -> None:
         raise CliError(f"cannot write {path}: {exc}", EXIT_IO) from exc
 
 
-def _default_jobs() -> int:
-    env = os.environ.get(JOBS_ENV_VAR)
-    if env:
+def _jobs(flag: int | None) -> int:
+    """``--jobs``, else ``$HOPCOMPRESS_JOBS``, else 1; a count below 1 from
+    either source is a configuration error that names the source."""
+    source, jobs = "--jobs", flag
+    if flag is None:
+        source, env = JOBS_ENV_VAR, os.environ.get(JOBS_ENV_VAR)
+        if not env:
+            return 1
         try:
-            return max(1, int(env))
+            jobs = int(env)
         except ValueError:
             raise CliError(f"bad {JOBS_ENV_VAR} value {env!r}", EXIT_CONFIG) from None
-    return 1
+    if jobs < 1:
+        raise CliError(f"{source} must be >= 1, got {jobs}", EXIT_CONFIG)
+    return jobs
 
 
 def cmd_compress(args) -> int:
@@ -261,11 +268,9 @@ def cmd_bench(args) -> int:
         raise CliError(f"invalid --family value {args.family!r}: {exc}", EXIT_CONFIG) from exc
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     sa = _sa_params(args, args.seed)
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
+    jobs = _jobs(args.jobs)
     try:
-        report = bench_orderings(
-            family, pf, strategies, sa_params=sa, jobs=jobs
-        )
+        report = bench_orderings(family, pf, strategies, sa_params=sa, jobs=jobs)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_CONFIG) from exc
     except RuntimeError as exc:

@@ -195,9 +195,15 @@ def bench_orderings(
     only mean a compressor bug. Trials are independent, so ``jobs > 1``
     fans them out across at most ``min(jobs, trials, cpu count)`` worker
     processes without changing any result; the process pool is imported
-    only then.
+    only then. An empty strategy list, or one that names a strategy
+    twice (aliases included), raises ValueError.
     """
     strategies = [normalize_strategy(s) for s in strategies]
+    if not strategies:
+        raise ValueError("no strategy given")
+    for i, strategy in enumerate(strategies):
+        if strategy in strategies[:i]:
+            raise ValueError(f"strategy {strategy!r} named more than once")
     count = family.count
     seeds = tuple(range(family.seed, family.seed + count))
     tasks = [(family, pf, strategies, seed, sa_params) for seed in seeds]

@@ -12,9 +12,10 @@ descending x_e, snapped to a 1e-9 grid, with ties broken by canonical
 edge, yields the ordering fed to the compressor
 (:func:`hopcompress.orderings.lp_order`).
 
-Intended for small graphs (size guards below: edges, t, and the number
-of path variables); larger inputs should use the edge-connectivity or
-random orderings instead.
+Intended for small graphs (two size guards: the adjacency entries the
+path search scans, :data:`hopcompress.graph.MAX_PATH_SCANS`, and the
+number of path variables, :data:`MAX_PATH_VARS`); larger inputs should
+use the edge-connectivity or random orderings instead.
 """
 
 from __future__ import annotations
@@ -28,13 +29,11 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .compress import ProportionFunction
 from .errors import SizeLimitError
-from .graph import Edge, Graph, Path, enumerate_simple_paths
+from .graph import Edge, Graph, Path, edge_paths
 
 if TYPE_CHECKING:
     import numpy as np
 
-MAX_EDGES = 5000
-MAX_T = 3
 # HiGHS needs ~18 s for the 13 195 paths of K_14 at t=3 and ~12 s for
 # the 4 877 of G(40,200); K_60 at t=3 would ask for ~6M paths
 MAX_PATH_VARS = 10_000
@@ -85,38 +84,32 @@ def build_lp(g: Graph, pf: ProportionFunction) -> LpModel:
     pair, one "one-route-per-edge" row per edge, and one "coverage" row
     per (vertex with neighbors, hop level with p(level) > 0). Raises
     :class:`SizeLimitError` beyond the size guards, where the
-    edge-connectivity or random orderings are the sensible choice: more
-    than :data:`MAX_EDGES` edges, ``t`` above :data:`MAX_T`, or more than
-    :data:`MAX_PATH_VARS` path variables, counted as they are enumerated.
+    edge-connectivity or random orderings are the sensible choice: the
+    scan budget of :func:`~hopcompress.graph.edge_paths`, or more than
+    :data:`MAX_PATH_VARS` path variables, counted as they are enumerated
+    and refused before any search when the edges alone, each with its
+    direct path, pass it.
     """
-    if g.m > MAX_EDGES:
-        raise SizeLimitError(
-            f"{g.m} edges exceeds the LP guard of {MAX_EDGES}; "
-            "use the ec or random ordering instead"
-        )
-    if pf.t > MAX_T:
-        raise SizeLimitError(
-            f"t={pf.t} exceeds the LP guard of {MAX_T}; "
-            "use the ec or random ordering instead"
-        )
+    t = pf.t
+    too_many = (
+        f"more than {MAX_PATH_VARS} paths of at most {t} edges exceed the LP "
+        "guard; use the ec or random ordering instead"
+    )
+    if g.m > MAX_PATH_VARS:
+        raise SizeLimitError(too_many)
 
     edges = tuple(g.edges())
     edge_index = {e: i for i, e in enumerate(edges)}
-    t = pf.t
 
     paths_per_edge: list[tuple[Path, ...]] = []
     f_index: list[list[int]] = []  # parallel to paths_per_edge
     next_var = len(edges)
-    for u, v in edges:
-        group = tuple(enumerate_simple_paths(g, u, v, t))
-        paths_per_edge.append(group)
+    for _, group in edge_paths(g, t):
+        paths_per_edge.append(tuple(group))
         f_index.append(list(range(next_var, next_var + len(group))))
         next_var += len(group)
         if next_var - len(edges) > MAX_PATH_VARS:
-            raise SizeLimitError(
-                f"more than {MAX_PATH_VARS} paths of at most {t} edges exceed the LP "
-                "guard; use the ec or random ordering instead"
-            )
+            raise SizeLimitError(too_many)
 
     rows: list[LpRow] = []
     for k, group in enumerate(paths_per_edge):

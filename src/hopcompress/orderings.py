@@ -16,14 +16,8 @@ import time
 from dataclasses import dataclass
 
 from .compress import CompressionResult, ProportionFunction, _scan, compress_basic
-from .errors import SizeLimitError
-from .graph import Edge, Graph, _simple_paths
+from .graph import Edge, Graph, edge_paths
 from .lp import _highs_core, build_lp, solve_lp
-
-# adjacency entries the path search of ec_scores may scan at t >= 3, about
-# 10 s at the ~4M a second measured on 2 cores: K_30 at t=3 scans 9.9M
-# (2.7 s), G(200,1000) at t=4 12.2M (3.0 s), G(200,1500) at t=4 86.7M (22 s)
-MAX_EC_SCANS = 40_000_000
 
 # every accepted strategy name -> its canonical name; the CLI choices and
 # normalize_strategy read this table
@@ -99,25 +93,16 @@ def ec_scores(g: Graph, t: int) -> dict[Edge, int]:
     plus, at ``t = 2``, 2 per triangle through it (the detours of the
     triangle's other two edges). The count walks each edge from its
     endpoint of lower (degree, id) rank, so its cost is the sum over
-    edges of the smaller degree. Longer horizons enumerate the paths and
-    raise :class:`~hopcompress.errors.SizeLimitError` once the adjacency
-    entries their search scans, counted as it runs, pass
-    :data:`MAX_EC_SCANS`.
+    edges of the smaller degree. Longer horizons enumerate the paths with
+    :func:`~hopcompress.graph.edge_paths`, which raises
+    :class:`~hopcompress.errors.SizeLimitError` past its scan budget,
+    :data:`~hopcompress.graph.MAX_PATH_SCANS`.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
     if t > 2:
         scores = dict.fromkeys(g.edges(), 0)
-        scans_left = MAX_EC_SCANS
-        for u, v in g.edges():
-            paths, scans = _simple_paths(g, u, v, t, scans_left)
-            scans_left -= scans
-            if scans_left < 0:
-                raise SizeLimitError(
-                    f"more than {MAX_EC_SCANS} adjacency entries scanned for paths of at most "
-                    f"{t} edges exceed the ec guard; use fewer hop levels or the random "
-                    "ordering instead"
-                )
+        for _, paths in edge_paths(g, t):
             for path in paths:
                 for a, b in zip(path, path[1:]):
                     scores[(a, b) if a < b else (b, a)] += 1

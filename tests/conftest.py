@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import hopcompress.graph
 import hopcompress.lp
-from hopcompress import Graph, ProportionFunction, Violation, enumerate_simple_paths
+from hopcompress import Graph, ProportionFunction, Violation
 
 
 def recursive_simple_paths(g: Graph, u: int, v: int, max_len: int) -> list[tuple[int, ...]]:
@@ -134,15 +135,17 @@ def lp_iteration_limit(monkeypatch):
 
 @pytest.fixture
 def path_enumerations(monkeypatch):
-    """Records the edges ``build_lp`` enumerates paths for; fails past 20
-    edges, so a missing path budget cannot exhaust memory on K_60."""
+    """Records the edges the shared path search (``graph.edge_paths``, used
+    by ``build_lp`` and by ``ec_scores`` at t >= 3) searches from; fails
+    past 20 edges, so a missing path budget cannot exhaust memory on K_60."""
     calls = []
+    search = hopcompress.graph._simple_paths
 
-    def counting(g, u, v, max_len):
+    def counting(g, u, v, max_len, max_scans):
         calls.append((u, v))
         if len(calls) > 20:
             raise AssertionError("path budget not enforced within 20 edges")
-        return enumerate_simple_paths(g, u, v, max_len)
+        return search(g, u, v, max_len, max_scans)
 
-    monkeypatch.setattr("hopcompress.lp.enumerate_simple_paths", counting)
+    monkeypatch.setattr(hopcompress.graph, "_simple_paths", counting)
     return calls

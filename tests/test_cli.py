@@ -58,10 +58,13 @@ class TestCompress:
         assert out.read_text() == Path(triangle_file).read_text()
 
     def test_ec_scan_budget_is_config_error(self, zachary_file, monkeypatch, capsys):
-        monkeypatch.setattr("hopcompress.orderings.MAX_EC_SCANS", 100)
+        monkeypatch.setattr("hopcompress.graph.MAX_PATH_SCANS", 100)
         assert main(["compress", zachary_file, "--p", "0,0,1/2", "--ordering", "ec"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: more than 100 adjacency entries scanned for paths of at most 3 edges exceed the ec guard;")
+        assert err.startswith(
+            "error: more than 100 adjacency entries to scan for paths of at most 3 edges "
+            "exceed the path-search guard;"
+        )
         assert "Traceback" not in err
 
     def test_non_monotone_p_is_config_error(self, triangle_file):
@@ -363,6 +366,40 @@ class TestBench:
             ["bench", "--family", "6,8,2", "--p", "0,1", "--strategies", "basic"]
         )
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "strategies, message",
+        [
+            ("", "no strategy given"),
+            (",", "no strategy given"),
+            ("basic,random", "strategy 'basic-random' named more than once"),
+        ],
+        ids=["empty", "comma", "alias"],
+    )
+    def test_empty_or_repeated_strategies_are_config_errors(self, strategies, message, capsys):
+        args = ["bench", "--family", "6,8,2", "--p", "1", "--strategies", strategies]
+        assert main(args) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "flag, env, message",
+        [
+            (["--jobs", "-3"], None, "--jobs must be >= 1, got -3"),
+            (["--jobs", "0"], "2", "--jobs must be >= 1, got 0"),
+            ([], "0", "HOPCOMPRESS_JOBS must be >= 1, got 0"),
+            ([], "-1", "HOPCOMPRESS_JOBS must be >= 1, got -1"),
+            ([], "two", "bad HOPCOMPRESS_JOBS value 'two'"),
+        ],
+        ids=["flag", "flag-over-env", "env-zero", "env-negative", "env-text"],
+    )
+    def test_jobs_below_one_are_config_errors(self, flag, env, message, monkeypatch, capsys):
+        if env is None:
+            monkeypatch.delenv("HOPCOMPRESS_JOBS", raising=False)
+        else:
+            monkeypatch.setenv("HOPCOMPRESS_JOBS", env)
+        args = ["bench", "--family", "6,8,2", "--p", "1", "--strategies", "basic", *flag]
+        assert main(args) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 class TestEdgeCases:

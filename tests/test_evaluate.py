@@ -266,6 +266,20 @@ class TestBench:
         with pytest.raises(ValueError, match="unknown strategy"):
             bench_orderings(family, ProportionFunction.parse("1"), ["zigzag"])
 
+    @pytest.mark.parametrize(
+        "strategies, message",
+        [
+            ([], "no strategy given"),
+            (["basic", "random"], "strategy 'basic-random' named more than once"),
+            (["lp", "ec", "lp"], "strategy 'lp' named more than once"),
+        ],
+        ids=["empty", "alias", "repeat"],
+    )
+    def test_empty_or_repeated_strategies_rejected(self, strategies, message):
+        family = FamilySpec(count=1, n=4, m=3, seed=0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            bench_orderings(family, ProportionFunction.parse("1"), strategies)
+
 
 class TestStrategyRegistry:
     def test_every_entry_point_reads_one_table(self, triangle, capsys):

@@ -14,7 +14,9 @@ from hopcompress import (
     load_edge_list,
     write_edge_list,
 )
-from hopcompress.graph import _simple_paths
+import hopcompress.graph as graph_module
+from hopcompress.errors import SizeLimitError
+from hopcompress.graph import _simple_paths, edge_paths
 
 from conftest import recursive_simple_paths, small_graphs
 
@@ -244,3 +246,37 @@ class TestEnumerateSimplePaths:
             for v in range(u + 1, g.n):
                 count = len(enumerate_simple_paths(g, u, v, 1))
                 assert count == (1 if g.has_edge(u, v) else 0)
+
+
+class TestEdgePaths:
+    @settings(max_examples=40, deadline=None)
+    @given(g=small_graphs())
+    def test_each_edge_with_its_paths(self, g):
+        for t in (1, 2, 3):
+            assert list(edge_paths(g, t)) == [
+                ((u, v), enumerate_simple_paths(g, u, v, t)) for u, v in g.edges()
+            ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=small_graphs(), t=st.integers(1, 4))
+    def test_first_level_count(self, g, t):
+        # A budget of exactly the scans the searches report is never refused,
+        # so the up-front count is at most that total; at t <= 2 one entry
+        # less is refused before any search, so the count equals it there.
+        total = sum(_simple_paths(g, u, v, t, math.inf)[1] for u, v in g.edges())
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _simple_paths(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_module, "_simple_paths", counting)
+            mp.setattr(graph_module, "MAX_PATH_SCANS", total)
+            assert len(list(edge_paths(g, t))) == g.m
+            if g.m and t <= 2:
+                calls.clear()
+                mp.setattr(graph_module, "MAX_PATH_SCANS", total - 1)
+                with pytest.raises(SizeLimitError, match="path-search guard"):
+                    next(edge_paths(g, t))
+                assert calls == []

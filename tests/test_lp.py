@@ -8,9 +8,11 @@ import textwrap
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import hopcompress
+import hopcompress.graph
 from hopcompress import (
     Graph,
     LpModel,
@@ -27,7 +29,8 @@ from hopcompress import (
     solve_lp,
     verify,
 )
-from hopcompress.lp import MAX_EDGES, MAX_PATH_VARS, MAX_T, LpRow, _highs_solve, _Rows
+from hopcompress.graph import MAX_PATH_SCANS
+from hopcompress.lp import MAX_PATH_VARS, LpRow, _highs_solve, _Rows
 
 from conftest import small_graphs
 
@@ -138,11 +141,54 @@ class TestBuildLp:
         assert tags["coverage"] == diamond.n
         assert all(row.rhs > 0 for row in model.rows if row.sense == ">=")
 
-    def test_size_guards(self, triangle):
-        with pytest.raises(SizeLimitError, match=f"{MAX_EDGES + 1} edges exceeds the LP guard of {MAX_EDGES};"):
-            build_lp(gen_gnm(101, MAX_EDGES + 1, 0), ProportionFunction.parse("1"))
-        with pytest.raises(SizeLimitError, match=f"t=4 exceeds the LP guard of {MAX_T};"):
-            build_lp(triangle, ProportionFunction.parse("0,0,0,1"))
+    def test_long_path_gets_a_verified_order(self):
+        # 5001 edges, one direct path each, far inside both counts
+        g = Graph.from_edges(5002, [(i, i + 1) for i in range(5001)])
+        pf = ProportionFunction.parse("1/2")
+        result = compress_basic(g, pf, lp_order(g, pf))
+        assert verify(g, result.subgraph(), pf).ok
+
+    @settings(max_examples=25, deadline=None)
+    @given(g=small_graphs())
+    def test_orders_verify_at_four_levels(self, g):
+        for text in ("0,0,0,1/2", "0,1/4,1/2,1"):
+            pf = ProportionFunction.parse(text)
+            result = compress_basic(g, pf, lp_order(g, pf))
+            assert verify(g, result.subgraph(), pf).ok
+
+    @pytest.mark.parametrize(
+        "build, p, message",
+        [
+            # 9 997 entries scanned per spoke at t=2, 50.0M in all
+            (lambda: Graph.from_edges(5000, [(0, k) for k in range(1, 5000)]), "0,1/2",
+             f"more than {MAX_PATH_SCANS} adjacency entries to scan for paths of at most 2 edges"),
+            # every edge owns its direct path
+            (lambda: Graph.from_edges(MAX_PATH_VARS + 2, [(i, i + 1) for i in range(MAX_PATH_VARS + 1)]),
+             "1/2", f"more than {MAX_PATH_VARS} paths of at most 1 edges"),
+        ],
+        ids=["star-K1,4999", "path-P10002"],
+    )
+    def test_refused_before_any_search(self, path_enumerations, build, p, message):
+        with pytest.raises(SizeLimitError, match=f"^{message} exceed the "):
+            build_lp(build(), ProportionFunction.parse(p))
+        assert path_enumerations == []
+
+    @settings(max_examples=25, deadline=None)
+    @given(g=small_graphs(), t=st.integers(1, 4))
+    def test_more_edges_than_path_vars_refused_before_any_search(self, g, t):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return search(*args)
+
+        search = hopcompress.graph._simple_paths
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hopcompress.lp, "MAX_PATH_VARS", g.m - 1)
+            mp.setattr(hopcompress.graph, "_simple_paths", counting)
+            with pytest.raises(SizeLimitError, match=f"^more than {g.m - 1} paths "):
+                build_lp(g, ProportionFunction.parse(",".join(["0"] * (t - 1) + ["1"])))
+        assert calls == []
 
     def test_path_budget(self, path_enumerations):
         # K_60 at t=3 has ~6M paths, 3 365 per edge

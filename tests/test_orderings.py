@@ -21,6 +21,7 @@ from hopcompress import (
     verify,
 )
 
+import hopcompress.graph as graph_module
 import hopcompress.orderings as orderings_module
 from hopcompress.graph import _simple_paths
 
@@ -157,32 +158,37 @@ class TestEcScores:
 
     def test_scan_budget(self, monkeypatch):
         k5 = Graph.from_edges(5, combinations(range(5), 2))  # 40 entries scanned per edge at t=3
-        monkeypatch.setattr(orderings_module, "MAX_EC_SCANS", 400)
+        monkeypatch.setattr(graph_module, "MAX_PATH_SCANS", 400)
         assert ec_scores(k5, 3) == dict.fromkeys(k5.edges(), 25)
-        monkeypatch.setattr(orderings_module, "MAX_EC_SCANS", 0)
+        monkeypatch.setattr(graph_module, "MAX_PATH_SCANS", 0)
         assert ec_scores(k5, 2) == dict.fromkeys(k5.edges(), 7)  # counted, not enumerated
-        monkeypatch.setattr(orderings_module, "MAX_EC_SCANS", 79)
+        # 16 entries per edge at the first level, 160 in all: the search starts
+        monkeypatch.setattr(graph_module, "MAX_PATH_SCANS", 199)
         calls = []
 
         def counting(g, u, v, max_len, max_scans):
             calls.append((u, v, max_scans))
             return _simple_paths(g, u, v, max_len, max_scans)
 
-        monkeypatch.setattr(orderings_module, "_simple_paths", counting)
+        monkeypatch.setattr(graph_module, "_simple_paths", counting)
         with pytest.raises(
             SizeLimitError,
-            match=r"^more than 79 adjacency entries scanned for paths of at most 3 edges exceed the ec guard;",
+            match=r"^more than 199 adjacency entries to scan for paths of at most 3 edges "
+            "exceed the path-search guard;",
         ):
             ec_scores(k5, 3)
-        assert calls == [(0, 1, 79), (0, 2, 39)]
+        assert calls == [(0, 1, 199), (0, 2, 159), (0, 3, 119), (0, 4, 79), (1, 2, 39)]
 
-    def test_scan_budget_counts_dead_ends(self, monkeypatch):
+    def test_scan_budget_counts_dead_ends(self, path_enumerations, monkeypatch):
         # one path per edge, but the search from the hub scans every leaf
         star = Graph.from_edges(201, [(0, leaf) for leaf in range(1, 201)])
-        assert ec_scores(star, 3) == dict.fromkeys(star.edges(), 1)
-        monkeypatch.setattr(orderings_module, "MAX_EC_SCANS", 200 * 399 - 1)
-        with pytest.raises(SizeLimitError, match="ec guard"):
+        monkeypatch.setattr(graph_module, "MAX_PATH_SCANS", 200 * 399 - 1)
+        with pytest.raises(SizeLimitError, match="path-search guard"):
             ec_scores(star, 3)
+        assert path_enumerations == []  # refused from the first level's count
+        monkeypatch.undo()  # lifts the fixture's 20-search cap too
+        monkeypatch.setattr(graph_module, "MAX_PATH_SCANS", 200 * 399)
+        assert ec_scores(star, 3) == dict.fromkeys(star.edges(), 1)
 
 
 class TestEcOrder:
