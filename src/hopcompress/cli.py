@@ -115,10 +115,10 @@ def _jobs(flag: int | None) -> int:
         source, env = JOBS_ENV_VAR, os.environ.get(JOBS_ENV_VAR)
         if not env:
             return 1
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise CliError(f"bad {JOBS_ENV_VAR} value {env!r}", EXIT_CONFIG) from None
+        digits = env.removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):  # int() also takes "1_0", "+2", " 2 "
+            raise CliError(f"bad {JOBS_ENV_VAR} value {env!r}", EXIT_CONFIG)
+        jobs = int(env)
     if jobs < 1:
         raise CliError(f"{source} must be >= 1, got {jobs}", EXIT_CONFIG)
     return jobs

@@ -241,9 +241,10 @@ def enumerate_simple_paths(g: Graph, u: int, v: int, max_len: int) -> list[Path]
     return _simple_paths(g, u, v, max_len, math.inf)[0]
 
 
-def edge_paths(g: Graph, t: int) -> Iterator[tuple[Edge, list[Path]]]:
-    """Each canonical edge ``(u, v)``, ascending, with the simple paths of
-    at most ``t`` edges between its endpoints, searched from ``u``.
+def edge_paths(g: Graph, t: int) -> Iterator[list[Path]]:
+    """For each canonical edge ``(u, v)``, in :meth:`Graph.edges` order, the
+    simple paths of at most ``t`` edges between its endpoints, searched
+    from ``u``.
 
     The searches may scan :data:`MAX_PATH_SCANS` adjacency entries in all,
     or :class:`~hopcompress.errors.SizeLimitError` is raised. It is raised
@@ -271,7 +272,7 @@ def edge_paths(g: Graph, t: int) -> Iterator[tuple[Edge, list[Path]]]:
         scans_left -= scans
         if scans_left < 0:
             raise SizeLimitError(too_many)
-        yield (u, v), paths
+        yield paths
 
 
 def _simple_paths(

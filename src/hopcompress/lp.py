@@ -14,8 +14,9 @@ edge, yields the ordering fed to the compressor
 
 Intended for small graphs (two size guards: the adjacency entries the
 path search scans, :data:`hopcompress.graph.MAX_PATH_SCANS`, and the
-number of path variables, :data:`MAX_PATH_VARS`); larger inputs should
-use the edge-connectivity or random orderings instead.
+number of path variables, :data:`MAX_PATH_VARS`, which also bounds the
+model's constraint entries); larger inputs should use the
+edge-connectivity or random orderings instead.
 """
 
 from __future__ import annotations
@@ -85,18 +86,28 @@ def build_lp(g: Graph, pf: ProportionFunction) -> LpModel:
     per (vertex with neighbors, hop level with p(level) > 0). Raises
     :class:`SizeLimitError` beyond the size guards, where the
     edge-connectivity or random orderings are the sensible choice: the
-    scan budget of :func:`~hopcompress.graph.edge_paths`, or more than
-    :data:`MAX_PATH_VARS` path variables, counted as they are enumerated
-    and refused before any search when the edges alone, each with its
-    direct path, pass it.
+    scan budget of :func:`~hopcompress.graph.edge_paths`, more than
+    :data:`MAX_PATH_VARS` path variables, or more constraint entries than
+    ``13 * MAX_PATH_VARS``, the most that many paths bring at ``t <= 3``.
+    Both counts grow as the paths are enumerated, and each is
+    refused before any search when the edges alone, each with its direct
+    path, pass it, so no number of hop levels makes the model outgrow them.
     """
     t = pf.t
-    too_many = (
-        f"more than {MAX_PATH_VARS} paths of at most {t} edges exceed the LP "
-        "guard; use the ec or random ordering instead"
+    # a path of k vertices brings 2(k - 1) entries to its path-needs-edge
+    # rows, 1 to its one-route row and 2 per positive level to the coverage
+    # rows of its endpoints, which scan it whatever its length: at most 13
+    # at t <= 3, so the bound admits MAX_PATH_VARS paths of any model with
+    # t <= 3 and keeps larger t from growing the rows past them
+    max_entries = 13 * MAX_PATH_VARS
+    too_big = (
+        f"more than {MAX_PATH_VARS} paths or {max_entries} constraint entries for paths "
+        f"of at most {t} edges exceed the LP guard; use the ec or random ordering instead"
     )
-    if g.m > MAX_PATH_VARS:
-        raise SizeLimitError(too_many)
+    levels = [level for level in range(1, t + 1) if pf.at(level) > 0]
+    per_path = 2 * len(levels) - 1  # and 2 per vertex on the path
+    if g.m > MAX_PATH_VARS or g.m * (4 + per_path) > max_entries:  # direct paths alone
+        raise SizeLimitError(too_big)
 
     edges = tuple(g.edges())
     edge_index = {e: i for i, e in enumerate(edges)}
@@ -104,12 +115,14 @@ def build_lp(g: Graph, pf: ProportionFunction) -> LpModel:
     paths_per_edge: list[tuple[Path, ...]] = []
     f_index: list[list[int]] = []  # parallel to paths_per_edge
     next_var = len(edges)
-    for _, group in edge_paths(g, t):
+    entries = 0
+    for group in edge_paths(g, t):
         paths_per_edge.append(tuple(group))
         f_index.append(list(range(next_var, next_var + len(group))))
         next_var += len(group)
-        if next_var - len(edges) > MAX_PATH_VARS:
-            raise SizeLimitError(too_many)
+        entries += 2 * sum(map(len, group)) + per_path * len(group)
+        if next_var - len(edges) > MAX_PATH_VARS or entries > max_entries:
+            raise SizeLimitError(too_big)
 
     rows: list[LpRow] = []
     for k, group in enumerate(paths_per_edge):
@@ -140,10 +153,8 @@ def build_lp(g: Graph, pf: ProportionFunction) -> LpModel:
         incident = [
             edge_index[(u, w) if u < w else (w, u)] for w in g.adjacency[u]
         ]
-        for level in range(1, t + 1):
+        for level in levels:  # a row at p = 0 would hold for any values
             required = pf.at(level) * degree
-            if required == 0:
-                continue  # a sum of non-negative variables is always >= 0
             coeffs = []
             for k in incident:
                 for path, fvar in zip(paths_per_edge[k], f_index[k]):

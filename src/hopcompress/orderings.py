@@ -102,7 +102,7 @@ def ec_scores(g: Graph, t: int) -> dict[Edge, int]:
         raise ValueError("t must be >= 1")
     if t > 2:
         scores = dict.fromkeys(g.edges(), 0)
-        for _, paths in edge_paths(g, t):
+        for paths in edge_paths(g, t):
             for path in paths:
                 for a, b in zip(path, path[1:]):
                     scores[(a, b) if a < b else (b, a)] += 1

@@ -389,8 +389,15 @@ class TestBench:
             ([], "0", "HOPCOMPRESS_JOBS must be >= 1, got 0"),
             ([], "-1", "HOPCOMPRESS_JOBS must be >= 1, got -1"),
             ([], "two", "bad HOPCOMPRESS_JOBS value 'two'"),
+            ([], "1_0", "bad HOPCOMPRESS_JOBS value '1_0'"),
+            ([], "+2", "bad HOPCOMPRESS_JOBS value '+2'"),
+            ([], " 2 ", "bad HOPCOMPRESS_JOBS value ' 2 '"),
+            ([], "\u0663", "bad HOPCOMPRESS_JOBS value '\u0663'"),
         ],
-        ids=["flag", "flag-over-env", "env-zero", "env-negative", "env-text"],
+        ids=[
+            "flag", "flag-over-env", "env-zero", "env-negative", "env-text",
+            "env-underscore", "env-plus", "env-spaces", "env-arabic-indic",
+        ],
     )
     def test_jobs_below_one_are_config_errors(self, flag, env, message, monkeypatch, capsys):
         if env is None:

@@ -254,7 +254,7 @@ class TestEdgePaths:
     def test_each_edge_with_its_paths(self, g):
         for t in (1, 2, 3):
             assert list(edge_paths(g, t)) == [
-                ((u, v), enumerate_simple_paths(g, u, v, t)) for u, v in g.edges()
+                enumerate_simple_paths(g, u, v, t) for u, v in g.edges()
             ]
 
     @settings(max_examples=60, deadline=None)

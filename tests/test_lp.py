@@ -164,9 +164,18 @@ class TestBuildLp:
              f"more than {MAX_PATH_SCANS} adjacency entries to scan for paths of at most 2 edges"),
             # every edge owns its direct path
             (lambda: Graph.from_edges(MAX_PATH_VARS + 2, [(i, i + 1) for i in range(MAX_PATH_VARS + 1)]),
-             "1/2", f"more than {MAX_PATH_VARS} paths of at most 1 edges"),
+             "1/2", f"more than {MAX_PATH_VARS} paths or {13 * MAX_PATH_VARS} constraint entries for paths of at most 1 edges"),
+            # C_3000 at t = 2999: 3000 direct paths with 2 entries in each
+            # of 2 * 2999 coverage rows, ~9M rows had the model been built
+            (lambda: Graph.from_edges(3000, [(i, (i + 1) % 3000) for i in range(3000)]),
+             ",".join(["1"] * 2999),
+             f"more than {MAX_PATH_VARS} paths or {13 * MAX_PATH_VARS} constraint entries for paths of at most 2999 edges"),
+            # P_5002 at 1000 levels of 1/2: 5001 direct paths, ~5M coverage rows
+            (lambda: Graph.from_edges(5002, [(i, i + 1) for i in range(5001)]),
+             ",".join(["1/2"] * 1000),
+             f"more than {MAX_PATH_VARS} paths or {13 * MAX_PATH_VARS} constraint entries for paths of at most 1000 edges"),
         ],
-        ids=["star-K1,4999", "path-P10002"],
+        ids=["star-K1,4999", "path-P10002", "cycle-C3000-t2999", "path-P5002-t1000"],
     )
     def test_refused_before_any_search(self, path_enumerations, build, p, message):
         with pytest.raises(SizeLimitError, match=f"^{message} exceed the "):
@@ -189,6 +198,16 @@ class TestBuildLp:
             with pytest.raises(SizeLimitError, match=f"^more than {g.m - 1} paths "):
                 build_lp(g, ProportionFunction.parse(",".join(["0"] * (t - 1) + ["1"])))
         assert calls == []
+
+    def test_entry_budget(self, path_enumerations):
+        # K_8 at t = 7, p = 1 at every level: 1 957 paths per edge, each up
+        # to 8 vertices long and scanned by 14 coverage rows, so the first
+        # edge alone brings 52 841 entries and the third passes 130 000
+        # while only 5 871 path variables are listed
+        k8 = Graph.from_edges(8, list(itertools.combinations(range(8), 2)))
+        with pytest.raises(SizeLimitError, match=f"^more than {MAX_PATH_VARS} paths or {13 * MAX_PATH_VARS} constraint entries "):
+            build_lp(k8, ProportionFunction.parse(",".join(["1"] * 7)))
+        assert len(path_enumerations) == 3
 
     def test_path_budget(self, path_enumerations):
         # K_60 at t=3 has ~6M paths, 3 365 per edge
