@@ -21,7 +21,14 @@ from .graph import Edge, Graph, canonical_edge
 
 
 def parse_proportion(text: str) -> Fraction:
-    """Parse one proportion given as a decimal ("0.5") or ratio ("1/2")."""
+    """Parse one proportion given as a decimal ("0.5") or ratio ("1/2").
+
+    An exponent is refused before ``Fraction`` expands it into a power of
+    ten: "1e-5000" gives a denominator too long to print, and
+    "1e-999999999" one of a billion digits.
+    """
+    if "e" in text.lower():
+        raise ValueError(f"exponent in {text!r}; write a decimal or a ratio")
     try:
         value = Fraction(text.strip())
     except ZeroDivisionError:

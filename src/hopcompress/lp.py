@@ -104,6 +104,7 @@ def build_lp(g: Graph, pf: ProportionFunction) -> LpModel:
         f"more than {MAX_PATH_VARS} paths or {max_entries} constraint entries for paths "
         f"of at most {t} edges exceed the LP guard; use the ec or random ordering instead"
     )
+    # coverage rows only at positive levels: a row at p = 0 would hold for any values
     levels = [level for level in range(1, t + 1) if pf.at(level) > 0]
     per_path = 2 * len(levels) - 1  # and 2 per vertex on the path
     if g.m > MAX_PATH_VARS or g.m * (4 + per_path) > max_entries:  # direct paths alone
@@ -111,22 +112,22 @@ def build_lp(g: Graph, pf: ProportionFunction) -> LpModel:
 
     edges = tuple(g.edges())
     edge_index = {e: i for i, e in enumerate(edges)}
+    # each vertex's coverage coefficients per level; none for an isolated one
+    coverage = {u: [[] for _ in levels] for u, row in enumerate(g.adjacency) if row}
 
-    paths_per_edge: list[tuple[Path, ...]] = []
-    f_index: list[list[int]] = []  # parallel to paths_per_edge
-    next_var = len(edges)
+    paths: list[tuple[Path, ...]] = []
+    rows: list[LpRow] = []  # the path-needs-edge rows, then the rest
+    one_route: list[LpRow] = []
+    witness = list(range(len(edges)))
+    fvar = len(edges)  # the next path variable
     entries = 0
-    for group in edge_paths(g, t):
-        paths_per_edge.append(tuple(group))
-        f_index.append(list(range(next_var, next_var + len(group))))
-        next_var += len(group)
+    for (u, v), group in zip(edges, edge_paths(g, t)):
         entries += 2 * sum(map(len, group)) + per_path * len(group)
-        if next_var - len(edges) > MAX_PATH_VARS or entries > max_entries:
+        if fvar + len(group) - len(edges) > MAX_PATH_VARS or entries > max_entries:
             raise SizeLimitError(too_big)
-
-    rows: list[LpRow] = []
-    for k, group in enumerate(paths_per_edge):
-        for path, fvar in zip(group, f_index[k]):
+        paths.append(tuple(group))
+        first = fvar
+        for path in group:
             for a, b in zip(path, path[1:]):
                 xvar = edge_index[(a, b) if a < b else (b, a)]
                 rows.append(
@@ -137,47 +138,37 @@ def build_lp(g: Graph, pf: ProportionFunction) -> LpModel:
                         tag="path-needs-edge",
                     )
                 )
-    for k in range(len(edges)):
-        rows.append(
+            if len(path) == 2:  # the direct edge path
+                witness.append(fvar)
+            for level, at_u, at_v in zip(levels, coverage[u], coverage[v]):
+                if len(path) - 1 <= level:
+                    at_u.append((fvar, 1.0))
+                    at_v.append((fvar, 1.0))
+            fvar += 1
+        one_route.append(
             LpRow(
-                coeffs=tuple((fvar, 1.0) for fvar in f_index[k]),
+                coeffs=tuple((f, 1.0) for f in range(first, fvar)),
                 sense="<=",
                 rhs=1.0,
                 tag="one-route-per-edge",
             )
         )
-    for u in range(g.n):
+    rows += one_route
+    for u, per_level in coverage.items():
         degree = len(g.adjacency[u])
-        if degree == 0:
-            continue
-        incident = [
-            edge_index[(u, w) if u < w else (w, u)] for w in g.adjacency[u]
-        ]
-        for level in levels:  # a row at p = 0 would hold for any values
-            required = pf.at(level) * degree
-            coeffs = []
-            for k in incident:
-                for path, fvar in zip(paths_per_edge[k], f_index[k]):
-                    if len(path) - 1 <= level:
-                        coeffs.append((fvar, 1.0))
+        for level, coeffs in zip(levels, per_level):
             rows.append(
                 LpRow(
                     coeffs=tuple(coeffs),
                     sense=">=",
-                    rhs=float(required),
+                    rhs=float(pf.at(level) * degree),
                     tag="coverage",
                 )
             )
 
-    witness = list(range(len(edges)))
-    for k, group in enumerate(paths_per_edge):
-        for path, fvar in zip(group, f_index[k]):
-            if len(path) == 2:  # the direct edge path
-                witness.append(fvar)
-
     return LpModel(
         edges=edges,
-        paths=tuple(paths_per_edge),
+        paths=tuple(paths),
         rows=tuple(rows),
         witness_at_upper=tuple(witness),
     )

@@ -47,12 +47,6 @@ class EdgeOrdering:
     seed: int | None = None
     lp_iterations: int | None = None  # HiGHS simplex iterations behind an "lp" ordering
 
-    def __len__(self) -> int:
-        return len(self.edges)
-
-    def __iter__(self):
-        return iter(self.edges)
-
 
 @dataclass(frozen=True)
 class SaParams:

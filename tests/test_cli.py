@@ -1,8 +1,11 @@
 import itertools
 import json
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from hopcompress import Graph, builtin, write_edge_list
 from hopcompress.cli import main
@@ -502,3 +505,107 @@ class TestArgumentHandling:
         assert main(["compress", "zachary", "--p", "1"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["m"] == 78
+
+
+# edge-list lines the loader rejects, skips or warns about
+EDGE_LINE_FAULTS = [
+    b"# comment", b"", b"3 3", b"1 x", b"-1 2", b"7", b"1 2 3", b"+1 2", b"1_0 2",
+    "\u0663 \u0664".encode(), b"0 99999999", b"1 2\n2 1", b"\xff\xfe",
+]
+P_TEXTS = [
+    "1", "1/2", "0,1/2", "1/2,1", "0,1/3,1", "0,0,1/2", "0.5,1.0", "1/3,2/3,1",
+    "1/0", "2", "-1/2", "1/2,0", "", ",", "x", "nan", "inf", "1e-2", "\u0661",
+]
+MALFORMED = st.sampled_from(["", "x", "1.5", "\u0663", "-"])
+
+
+def small_ints(lo, hi):  # malformed one time in four
+    ints = st.integers(lo, hi).map(str)
+    return st.one_of(ints, ints, ints, MALFORMED)
+
+
+@st.composite
+def cli_runs(draw):
+    """(files, argv): edge-list bytes by file name, and an argv whose
+    ``@name`` tokens stand for paths in the test's directory."""
+    pairs = st.tuples(st.integers(0, 7), st.integers(0, 7)).filter(lambda e: e[0] != e[1])
+    lines = [f"{u} {v}".encode() for u, v in draw(st.lists(pairs, max_size=12))]
+    subset = [line for line in lines if draw(st.booleans())]
+    if draw(st.integers(0, 3)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(EDGE_LINE_FAULTS)))
+    files = {"a": b"\n".join(lines), "b": b"\n".join(subset)}
+
+    def flag(name, values, present=st.booleans()):
+        return [name, draw(values)] if draw(present) else []
+
+    def required(name, values):
+        return flag(name, values, st.integers(0, 9).map(bool))
+
+    graph = st.sampled_from(["@a", "@a", "@b", "@missing", "@dir", "triangle", "diamond", "star4"])
+    p_texts = st.one_of(st.sampled_from(P_TEXTS), st.text("0123456789/.,-e ", max_size=6))
+    p = required("--p", p_texts)
+    seed = flag("--seed", small_ints(-2, 3))
+    report = flag("--report", st.sampled_from(["@report.json", "@dir", "@missing/r.json"]))
+    sa = [
+        "--sa-iters", draw(small_ints(-1, 20)),
+        *flag("--sa-t0", st.sampled_from(["10", "0.5", "0", "-1", "inf", "nan", "1e308", "x"])),
+        *flag("--sa-alpha", st.sampled_from(["0.99", "0.5", "0", "1", "nan", "x"])),
+    ]
+    command = draw(
+        st.sampled_from(["compress", "verify", "gen", "sp-hist", "stretch", "ratio", "bench"])
+    )
+    if command == "compress":
+        orderings = st.sampled_from(["random", "basic", "ec", "lp", "sa", "bogus"])
+        outputs = st.sampled_from(["@out.txt", "@dir", "@missing/out.txt"])
+        argv = [command, draw(graph), *p, *flag("--ordering", orderings), *seed, *report, *sa,
+                *flag("-o", outputs)]
+    elif command == "verify":
+        argv = [command, draw(graph), draw(graph), *p]
+    elif command == "gen":
+        outdir = draw(st.sampled_from(["@gen", "@dir", "@a"]))
+        argv = [command, outdir, *required("--n", small_ints(-1, 8)),
+                *required("--m", small_ints(-1, 30)), *flag("--count", small_ints(-1, 2)), *seed]
+    elif command == "bench":
+        sizes = st.tuples(st.integers(-1, 8), st.integers(-1, 30), st.integers(-1, 2))
+        family = st.one_of(
+            sizes.map(lambda f: ",".join(map(str, f))),
+            st.sampled_from(["", "5,3", "a,b,c", "5,3,1,1"]),
+        )
+        strategies = st.lists(
+            st.sampled_from(["basic", "lp", "ec", "sa", "random", "bogus", ""]), max_size=4
+        )
+        argv = [command, *required("--family", family), *p,
+                *flag("--strategies", strategies.map(",".join)), *seed, *report, *sa,
+                *flag("--jobs", st.sampled_from(["1", "0", "-2", "x", ""]))]
+    else:
+        compressed = [draw(graph)] if command != "sp-hist" or draw(st.booleans()) else []
+        argv = ["eval", command, draw(graph), *compressed]
+        if command == "stretch":
+            argv += required("--t", small_ints(-1, 3))
+    return files, argv + draw(st.sampled_from([[]] * 4 + [["--bogus"], ["-h"]]))
+
+
+class TestDrawnArguments:
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(run=cli_runs())
+    # p's 5001-digit denominator once failed to print in the report
+    @example(run=({"a": b"0 1", "b": b""}, ["compress", "@a", "--p", "1e-5000"]))
+    def test_exits_cleanly(self, run, tmp_path, monkeypatch, capsys):
+        # exit 3 would be an internal error; anything raised is a crash
+        monkeypatch.delenv("HOPCOMPRESS_JOBS", raising=False)
+        files, argv = run
+        (tmp_path / "dir").mkdir(exist_ok=True)
+        for name, data in files.items():
+            (tmp_path / name).write_bytes(data)
+        argv = [str(tmp_path / arg[1:]) if arg.startswith("@") else arg for arg in argv]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2, 4), (argv, code, err)
+        assert "Traceback" not in out + err
+        assert all("duplicate edge" in str(w.message) for w in caught), [w.message for w in caught]

@@ -79,6 +79,11 @@ class TestProportionFunction:
         with pytest.raises(ValueError):
             ProportionFunction.parse("")
 
+    @pytest.mark.parametrize("text", ["1e-2", "1E-5000", "0,5e9"])
+    def test_rejects_exponents(self, text):
+        with pytest.raises(ValueError, match="^exponent in "):
+            ProportionFunction.parse(text)
+
 
 class TestLevelsOk:
     def test_distance_two_neighbor_counts(self):

@@ -59,6 +59,17 @@ FAMILY_LP_FINGERPRINTS = {
 }
 
 
+# SHA-256 of dump_lp(build_lp(g, p)) + repr(witness_at_upper), which pins
+# the row order as well as the rows: zachary, and gen_gnm(20, 60, seed)
+MODEL_DIGESTS = {
+    ("zachary", "0,1/2"): "0861e9f593cf31ff9340a9008723ff1591ba8c6a7b6d791d43cfcc7fea2e200f",
+    ("zachary", "1/3,2/3,1"): "151e548b394d0612911594504843c99bdce9e765ba63ac623156c2e7df1ac734",
+    (1000, "0,1/2"): "5a8a8056e818c0bc3a940dcbd2d0683f3808e090241b521eccae3b7cf5bc95da",
+    (1001, "0,1/2"): "383413e2661b0cec632c6f53a964947c4383bb9437ae39b4aed7bd7c6b4793ed",
+    (1002, "0,1/2"): "86c97c5ee00e8b3e91a85613fb6ad612258ca82c03b8de55d491d47986a0a0ad",
+}
+
+
 def dense_rows(a, senses, b) -> _Rows:
     """``a[i] . x (senses[i]) b[i]`` as the row-wise form HiGHS is given."""
     a = np.asarray(a, dtype=float)
@@ -215,6 +226,13 @@ class TestBuildLp:
         with pytest.raises(SizeLimitError, match=f"more than {MAX_PATH_VARS} paths .*ec or random"):
             build_lp(k60, ProportionFunction.parse("0,0,1/2"))
         assert len(path_enumerations) == MAX_PATH_VARS // 3365 + 1
+
+    @pytest.mark.parametrize(("graph", "p"), list(MODEL_DIGESTS), ids=str)
+    def test_model_pinned(self, graph, p):
+        g = builtin(graph) if graph == "zachary" else gen_gnm(20, 60, graph)
+        model = build_lp(g, ProportionFunction.parse(p))
+        text = dump_lp(model) + repr(model.witness_at_upper)
+        assert hashlib.sha256(text.encode()).hexdigest() == MODEL_DIGESTS[graph, p]
 
     @settings(max_examples=30, deadline=None)
     @given(g=small_graphs())
