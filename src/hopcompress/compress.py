@@ -8,6 +8,7 @@ are exact rationals and every threshold comparison is exact.
 
 from __future__ import annotations
 
+import sys
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -25,7 +26,9 @@ def parse_proportion(text: str) -> Fraction:
 
     An exponent is refused before ``Fraction`` expands it into a power of
     ten: "1e-5000" gives a denominator too long to print, and
-    "1e-999999999" one of a billion digits.
+    "1e-999999999" one of a billion digits. A denominator with more
+    digits than Python's int-to-str limit is refused too, since a report
+    could not print it ("0.0…01" with 4300 decimals has 4301).
     """
     if "e" in text.lower():
         raise ValueError(f"exponent in {text!r}; write a decimal or a ratio")
@@ -35,6 +38,10 @@ def parse_proportion(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
     if not 0 <= value <= 1:
         raise ValueError(f"proportion {text!r} outside [0, 1]")
+    # Python 3.10 before 3.10.7 has no limit; 0 means none
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits and value.denominator >= 10**digits:
+        raise ValueError(f"denominator of {text!r} has more than {digits} digits")
     return value
 
 
@@ -225,18 +232,6 @@ def _degree_rules(
     return tuple(need1), tuple(action)  # shared by every caller: read-only
 
 
-def _share_kept_neighbor(a: list[int], b: list[int], mark: list[int], stamp: int) -> bool:
-    """Do the kept rows ``a`` and ``b`` have a vertex in common?
-
-    Stamps the shorter row into ``mark`` and looks the longer one up.
-    """
-    if len(a) > len(b):
-        a, b = b, a
-    for w in a:
-        mark[w] = stamp
-    return stamp in map(mark.__getitem__, b)
-
-
 def _scan(
     n: int,
     edges: Sequence[Edge],
@@ -302,14 +297,13 @@ def _list_scan(
     prev: Sequence[bool] | None = None,
     swap: tuple[int, int] = (0, 0),
 ) -> list[bool]:
-    """:func:`_scan` on adjacency lists, probing with :func:`_share_kept_neighbor`
-    and checking depth t with :func:`_levels_ok`."""
+    """:func:`_scan` on adjacency lists: the probe is a set of the shorter
+    kept row against the longer one, the depth-t check :func:`_levels_ok`."""
     ratios = tuple((p.numerator, p.denominator) for p in pf.props)
     need1, action = _degree_rules(ratios, n)
 
     reference: list[list[int]] = [[] for _ in range(n)]
     kept_adj: list[list[int]] = [[] for _ in range(n)]
-    mark = [-1] * n
     flags: list[bool] = []
     i, j = swap  # without prev, i = 0: every position is decided
     for k, edge in enumerate(edges):
@@ -330,7 +324,10 @@ def _list_scan(
                 if rule == _PASS:
                     continue
                 if shared is None:
-                    shared = _share_kept_neighbor(kept_adj[u], kept_adj[v], mark, k)
+                    a, b = kept_adj[u], kept_adj[v]
+                    if len(a) > len(b):
+                        a, b = b, a
+                    shared = not set(a).isdisjoint(b)
                 if shared:
                     continue
                 if rule == _PROBE_THEN_KEEP or not _levels_ok(x, reference[x], kept_adj, ratios)[0]:
@@ -482,14 +479,73 @@ def require_subgraph(g: Graph, gc: Graph) -> None:
 
     A vertex-count mismatch raises ValueError; an extra edge raises
     :class:`NotASubgraphError` naming the first one in canonical order.
+    Each of ``gc``'s rows is checked against ``g``'s row of the same
+    vertex, stamped into one list.
     """
     if gc.n != g.n:
         raise ValueError(f"vertex count mismatch: {gc.n} != {g.n}")
+    mark = [-1] * g.n  # mark[w] == u: (u, w) is an edge of g
     # the rows, not gc.edges(): a checked graph need not build its edge tuples
     for u, neighbors in enumerate(gc.adjacency):
+        for w in g.adjacency[u]:
+            mark[w] = u
         for v in neighbors:
-            if u < v and not g.has_edge(u, v):
+            if mark[v] != u and u < v:
                 raise NotASubgraphError((u, v))
+
+
+def _short_level(
+    v: int,
+    base: Sequence[int],
+    adjacency: Sequence[Sequence[int]],
+    ratios: Sequence[tuple[int, int]],
+    base_mark: list[int],
+    seen: list[int],
+) -> tuple[int, int]:
+    """:func:`verify`'s check of one vertex: the first hop level at which
+    ``v`` reaches too few of its original neighbours ``base`` in
+    ``adjacency``, and the count reached by then; level 0 when every
+    level passes.
+
+    One BFS from ``v`` bounded by depth t, on stamps instead of sets:
+    ``base_mark[w] = v`` marks v's original neighbours and ``seen[y] = v``
+    the vertices reached, so nothing is cleared between sources. Level t
+    reaches no further, so it only counts the original neighbours it
+    finds. The BFS stops once the count reaches ceil(p(t)·deg), even
+    mid-level; every level passes then, since p is non-decreasing.
+    """
+    deg = len(base)
+    num, den = ratios[-1]
+    need = -(-num * deg // den)
+    if need == 0:
+        return 0, 0
+    for w in base:
+        base_mark[w] = v
+    seen[v] = v
+    frontier = [v]
+    count = 0
+    for level, (num, den) in enumerate(ratios[:-1], start=1):
+        nxt: list[int] = []
+        for x in frontier:
+            for y in adjacency[x]:
+                if seen[y] != v:
+                    seen[y] = v
+                    nxt.append(y)
+                    if base_mark[y] == v:
+                        count += 1
+                        if count == need:
+                            return 0, count
+        if count * den < num * deg:
+            return level, count
+        frontier = nxt
+    for x in frontier:
+        for y in adjacency[x]:
+            if base_mark[y] == v and seen[y] != v:
+                seen[y] = v
+                count += 1
+                if count == need:
+                    return 0, count
+    return len(ratios), count  # count < need, so count·den < num·deg
 
 
 def verify(g: Graph, gc: Graph, pf: ProportionFunction) -> VerificationReport:
@@ -498,15 +554,17 @@ def verify(g: Graph, gc: Graph, pf: ProportionFunction) -> VerificationReport:
     ``gc`` must be on the same vertex set with edges drawn from ``g``
     (raises :class:`NotASubgraphError` naming the first extra edge).
     Every vertex is re-checked from scratch against its full original
-    neighborhood with one depth-t BFS; all violations are reported.
+    neighborhood with one depth-t BFS (:func:`_short_level`), which
+    shares no code with the scan; all violations are reported.
     """
     require_subgraph(g, gc)
     ratios = [(p.numerator, p.denominator) for p in pf.props]
+    base_mark = [-1] * g.n
+    seen = [-1] * g.n
     violations: list[Violation] = []
-    for v in range(g.n):
-        base = g.adjacency[v]
-        ok, level, count = _levels_ok(v, base, gc.adjacency, ratios)
-        if not ok:
+    for v, base in enumerate(g.adjacency):
+        level, count = _short_level(v, base, gc.adjacency, ratios, base_mark, seen)
+        if level:
             violations.append(
                 Violation(
                     vertex=v,

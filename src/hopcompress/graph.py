@@ -138,11 +138,19 @@ def load_edge_list(source: IO[str] | Iterable[str]) -> Graph:
     Lines starting with ``#`` are comments; data lines hold two unsigned
     ASCII decimal integers separated by whitespace. Vertex ids are relabeled onto a
     dense ``0..n-1`` range (ascending original order); the original ids
-    are kept in ``Graph.labels``. Each edge goes straight into both
-    endpoints' rows, with no edge set; repeats are collapsed with one
-    warning that counts them, and self-loops are rejected.
+    are kept in ``Graph.labels``. Each token gets its label's first-seen
+    index as the lines are read, and a token seen before is not parsed
+    again, so one int is kept per vertex, not per endpoint; the indices
+    become ascending-label ranks after the last line. Each edge goes straight into both endpoints' rows, with no edge
+    set; repeats are collapsed with one warning that counts them, and
+    self-loops are rejected.
     """
-    labels: list[int] = []
+    index: dict[int, int] = {}  # label -> first-seen index
+    # each spelling of a label ("01", "1") -> its index, so a known token
+    # is not parsed again and no int is kept per endpoint
+    by_token: dict[str, int] = {}
+    get = by_token.get
+    rows: list[list[int]] = []
     for line_number, line in enumerate(source, start=1):
         parts = line.split()
         if not parts or parts[0][0] == "#":
@@ -160,19 +168,29 @@ def load_edge_list(source: IO[str] | Iterable[str]) -> Graph:
                 negative = False
             kind = "negative vertex id" if negative else "non-integer token"
             raise EdgeListFormatError(f"{kind} in {line.strip()!r}", line_number)
-        u, v = int(a), int(b)
+        u = get(a)
+        if u is None:
+            u = by_token[a] = index.setdefault(int(a), len(rows))
+            if u == len(rows):
+                rows.append([])
+        v = get(b)
+        if v is None:
+            v = by_token[b] = index.setdefault(int(b), len(rows))
+            if v == len(rows):
+                rows.append([])
         if u == v:
-            raise EdgeListFormatError(f"self-loop at vertex {u}", line_number)
-        labels += (u, v)
-
-    ids = sorted(set(labels))
-    dense = {label: i for i, label in enumerate(ids)}
-    rows: list[list[int]] = [[] for _ in ids]
-    endpoints = map(dense.__getitem__, labels)
-    for u, v in zip(endpoints, endpoints):
+            raise EdgeListFormatError(f"self-loop at vertex {int(a)}", line_number)
         rows[u].append(v)
         rows[v].append(u)
-    del labels, endpoints  # freed before the constructor copies the rows
+
+    ids = sorted(index)
+    order = list(map(index.__getitem__, ids))  # first-seen index of each rank
+    rank = [0] * len(ids)
+    for r, i in enumerate(order):
+        rank[i] = r
+    for row in rows:
+        row[:] = map(rank.__getitem__, row)
+    rows = list(map(rows.__getitem__, order))
     repeats = 0  # a repeated edge, in either orientation, repeats in both rows
     for row in rows:
         distinct = set(row)

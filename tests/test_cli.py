@@ -594,6 +594,8 @@ class TestDrawnArguments:
     @given(run=cli_runs())
     # p's 5001-digit denominator once failed to print in the report
     @example(run=({"a": b"0 1", "b": b""}, ["compress", "@a", "--p", "1e-5000"]))
+    # and so did the 4301-digit denominator of 4300 decimals
+    @example(run=({"a": b"0 1", "b": b""}, ["compress", "triangle", "--p", "0." + "0" * 4299 + "1"]))
     def test_exits_cleanly(self, run, tmp_path, monkeypatch, capsys):
         # exit 3 would be an internal error; anything raised is a crash
         monkeypatch.delenv("HOPCOMPRESS_JOBS", raising=False)

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,12 +10,21 @@ from hopcompress import (
     InvalidOrderingError,
     NotASubgraphError,
     ProportionFunction,
+    Violation,
     compress_basic,
     random_order,
     verify,
 )
 import hopcompress.compress as compress_module
-from hopcompress.compress import MASK_SCAN_MAX_N, _levels_ok, _list_scan, _mask_scan, _scan
+from hopcompress.compress import (
+    MASK_SCAN_MAX_N,
+    _levels_ok,
+    _list_scan,
+    _mask_scan,
+    _scan,
+    parse_proportion,
+    require_subgraph,
+)
 
 from conftest import oracle_satisfies, oracle_violations, proportion_functions, small_graphs
 
@@ -44,6 +54,32 @@ def reference_scan(n, edges, pf):
             kept_adj[u].append(v)
             kept_adj[v].append(u)
     return flags
+
+
+def reference_violations(g, gc, pf):
+    """``verify``'s loop as it was when it called the scan's ``_levels_ok``."""
+    ratios = [(p.numerator, p.denominator) for p in pf.props]
+    violations = []
+    for v in range(g.n):
+        base = g.adjacency[v]
+        ok, level, count = _levels_ok(v, base, gc.adjacency, ratios)
+        if not ok:
+            violations.append(
+                Violation(vertex=v, level=level, required=pf.at(level) * len(base), achieved=count)
+            )
+    return violations
+
+
+@st.composite
+def verify_cases(draw):
+    """A graph of up to 12 vertices, a subgraph missing about half its
+    edges, and a p function with t from 1 to 4."""
+    g = draw(small_graphs(max_n=12))
+    edges = list(g.edges())
+    keep = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    gc = Graph.from_edges(g.n, [e for e, k in zip(edges, keep) if k])
+    pf = draw(st.one_of(st.sampled_from(EDGE_CASE_PROPORTIONS), proportion_functions(max_t=4)))
+    return g, gc, pf
 
 
 @st.composite
@@ -83,6 +119,15 @@ class TestProportionFunction:
     def test_rejects_exponents(self, text):
         with pytest.raises(ValueError, match="^exponent in "):
             ProportionFunction.parse(text)
+
+    def test_rejects_denominators_too_long_to_print(self):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this Python prints integers of any length")
+        # 10**(limit - 1) has limit digits; 10**limit has one too many
+        assert parse_proportion("0." + "0" * (limit - 2) + "1") == Fraction(1, 10 ** (limit - 1))
+        with pytest.raises(ValueError, match=f"^denominator of .* has more than {limit} digits$"):
+            ProportionFunction.parse("0,0." + "0" * (limit - 1) + "1")
 
 
 class TestLevelsOk:
@@ -257,6 +302,27 @@ class TestScan:
             assert calls == [], scan.__name__
             assert scan(g.n, order, pf) == expected, scan.__name__
 
+    def test_probe_sets_the_shorter_kept_row_on_either_side(self, monkeypatch):
+        # leaf pairs first, then hub 0 to every leaf: the hub's kept row
+        # grows past 2 while a leaf's stays at most 2, and the hub is the
+        # first endpoint in one order and the second in the other
+        leaves = range(1, 13)
+        pairs = [(a, a + 1) for a in range(1, 13, 2)]
+        pf = ProportionFunction.parse("1/2,1")
+        for order in (pairs + [(0, x) for x in leaves], pairs + [(x, 0) for x in leaves]):
+            expected = reference_scan(13, order, pf)
+            assert sum(expected[len(pairs) :]) > 2  # the hub keeps more than 2 edges
+            built = []
+
+            def recording(row):
+                built.append(len(row))
+                return set(row)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(compress_module, "set", recording, raising=False)
+                assert _list_scan(13, order, pf) == expected
+            assert built and max(built) <= 2, built
+
     @pytest.mark.parametrize(
         ("n", "p", "expected"),
         [
@@ -299,6 +365,42 @@ class TestVerify:
     def test_rejects_vertex_count_mismatch(self, triangle):
         with pytest.raises(ValueError, match="vertex count"):
             verify(triangle, Graph.from_edges(2, [(0, 1)]), ProportionFunction.parse("1"))
+
+    @pytest.mark.parametrize(
+        ("extra", "first"),
+        [
+            ([(1, 5), (3, 4), (7, 8)], (1, 5)),  # the smallest sits in hub 5's row
+            ([(7, 8), (1, 5), (0, 3)], (0, 3)),
+            ([(5, 9), (6, 9), (2, 8)], (2, 8)),
+        ],
+    )
+    def test_names_the_smallest_extra_edge(self, extra, first):
+        # hub 5 is adjacent to every vertex but 1 and 9
+        g = Graph.from_edges(10, [(0, 2)] + [(5, x) for x in (0, 2, 3, 4, 6, 7, 8)])
+        gc = Graph.from_edges(10, [(0, 2), (5, 3)] + extra)
+        with pytest.raises(NotASubgraphError) as raised:
+            require_subgraph(g, gc)
+        assert raised.value.edge == first
+        require_subgraph(g, Graph.from_edges(10, [(5, 3), (0, 2)]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=verify_cases())
+    def test_violations_match_the_levels_ok_loop(self, case):
+        g, gc, pf = case
+        assert verify(g, gc, pf).violations == tuple(reference_violations(g, gc, pf))
+
+    def test_shares_no_bfs_with_the_scan(self, monkeypatch):
+        from hopcompress import gen_gnm
+
+        def broken(*args):
+            raise AssertionError("verify called the scan's _levels_ok")
+
+        monkeypatch.setattr(compress_module, "_levels_ok", broken)
+        for seed in range(4):
+            g = gen_gnm(14, 30, seed)
+            gc = Graph.from_edges(g.n, list(random_order(g, seed).edges)[::2])
+            for pf in EDGE_CASE_PROPORTIONS:
+                assert list(verify(g, gc, pf).violations) == oracle_violations(g, gc, pf)
 
     def test_violation_details(self):
         # vertex 0 has neighbors {1, 2}; gc keeps only the edge to 1
