@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InvalidOrderingError, NotASubgraphError
 from .graph import Edge, Graph, canonical_edge
@@ -38,8 +38,7 @@ def parse_proportion(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
     if not 0 <= value <= 1:
         raise ValueError(f"proportion {text!r} outside [0, 1]")
-    # Python 3.10 before 3.10.7 has no limit; 0 means none
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = sys.get_int_max_str_digits()  # 0 means no limit
     if digits and value.denominator >= 10**digits:
         raise ValueError(f"denominator of {text!r} has more than {digits} digits")
     return value
@@ -130,52 +129,6 @@ class CompressionResult:
         return Graph.from_edges(self.n, self.kept)
 
 
-def _levels_ok(
-    v: int,
-    base: Iterable[int],
-    adjacency: Sequence[Sequence[int]],
-    ratios: Sequence[tuple[int, int]],
-) -> tuple[bool, int, int]:
-    """Check all hop levels for one vertex.
-
-    ``base`` is the reference neighbor set, ``adjacency`` the graph being
-    probed, ``ratios`` the (numerator, denominator) pairs of p(1..t).
-    Runs one BFS from ``v`` bounded by depth t, counting how many base
-    neighbors have been reached after each level. Comparisons are exact:
-    count must satisfy count * den >= num * deg. Returns (ok, failing
-    level, count at that level); level is 0 when all pass.
-
-    The BFS stops as soon as the count reaches need = ceil(p(t) * deg),
-    even in the middle of a level: p is non-decreasing, the levels below
-    have passed and the count only grows, so every level passes. A
-    failure reports the same level and count as a full-depth BFS.
-    """
-    base_set = set(base)
-    deg = len(base_set)
-    num, den = ratios[-1]
-    need = -(-num * deg // den)
-    if need == 0:
-        return True, 0, 0
-    count = 0
-    seen = {v}
-    frontier = [v]
-    for level, (num, den) in enumerate(ratios, start=1):
-        nxt: list[int] = []
-        for x in frontier:
-            for y in adjacency[x]:
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-                    if y in base_set:
-                        count += 1
-                        if count == need:
-                            return True, 0, count
-        if count * den < num * deg:
-            return False, level, count
-        frontier = nxt
-    raise AssertionError("level t passes only once the count reaches need")
-
-
 def _validate_ordering(g: Graph, edges: Sequence[Edge]) -> None:
     """Raise unless ``edges`` holds every edge of ``g`` once, either way round.
 
@@ -207,10 +160,12 @@ _PASS, _PROBE_THEN_BFS, _PROBE_THEN_KEEP = 0, 1, 2
 
 @lru_cache(maxsize=16)
 def _degree_rules(
-    ratios: tuple[tuple[int, int], ...], n: int
+    ratios: tuple[tuple[int, int], ...], size: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The scan's decisions at each reference degree ``deg`` < ``n``,
-    for the (numerator, denominator) pairs ``ratios`` of p(1..t).
+    """The scan's decisions at each reference degree ``deg`` < ``size``,
+    for the (numerator, denominator) pairs ``ratios`` of p(1..t). A scan
+    of m edges on n vertices reaches no degree above min(n - 1, m), so it
+    asks for ``size`` = min(n, m + 1).
 
     Returns ``(need1, action)``: ``need1[deg]`` = ceil(p(1)·deg), the
     kept degree level 1 needs, and ``action[deg]`` one of
@@ -219,11 +174,11 @@ def _degree_rules(
     neighbour level 2 fails) or ``_PROBE_THEN_BFS`` (any other rise).
     """
     (num1, den1), *upper = ratios
-    need1 = [-(-num1 * deg // den1) for deg in range(n)]
-    action = [_PASS] * n
+    need1 = [-(-num1 * deg // den1) for deg in range(size)]
+    action = [_PASS] * size
     if upper:
         num2, den2 = upper[0]
-        for deg in range(1, n):
+        for deg in range(1, size):
             old = deg - 1
             if num2 * deg > den2 * old:
                 action[deg] = _PROBE_THEN_KEEP
@@ -290,6 +245,46 @@ def _rejoins(flags: list[bool], prev: Sequence[bool], i: int, j: int) -> bool:
     return flags[i] == prev[j] and flags[j] == prev[i] and flags[i + 1 : j] == prev[i + 1 : j]
 
 
+def _list_levels_ok(
+    x: int, deg: int, ref: Sequence[int], kept: Sequence[Sequence[int]], ratios: Sequence[tuple[int, int]]
+) -> bool:
+    """The depth-t check of endpoint ``x`` on adjacency lists, given that
+    level 1 passes: does x reach ceil(p(i)·deg) of its reference
+    neighbours within i hops of kept edges at every level i >= 2?
+
+    ``ref`` is x's reference row, ``deg`` its length, and ``kept[w]`` w's
+    kept row. Level 1 is x's kept row: every kept neighbour is a
+    reference one. Each level from 2 up walks the kept rows of the
+    frontier into a reached set, counting the reference neighbours it
+    finds, and the check stops once the count reaches ceil(p(t)·deg).
+    :func:`_mask_levels_ok` is its twin on bitmask rows.
+    """
+    num, den = ratios[-1]
+    need = -(-num * deg // den)
+    frontier = kept[x]
+    count = len(frontier)
+    if count >= need:
+        return True
+    ref_set = set(ref)
+    reach = set(frontier)
+    reach.add(x)
+    for num, den in ratios[1:]:
+        nxt: list[int] = []
+        for w in frontier:
+            for y in kept[w]:
+                if y not in reach:
+                    reach.add(y)
+                    nxt.append(y)
+                    if y in ref_set:
+                        count += 1
+                        if count == need:
+                            return True
+        if count * den < num * deg:
+            return False
+        frontier = nxt
+    raise AssertionError("level t passes only once the count reaches need")
+
+
 def _list_scan(
     n: int,
     edges: Sequence[Edge],
@@ -298,9 +293,9 @@ def _list_scan(
     swap: tuple[int, int] = (0, 0),
 ) -> list[bool]:
     """:func:`_scan` on adjacency lists: the probe is a set of the shorter
-    kept row against the longer one, the depth-t check :func:`_levels_ok`."""
+    kept row against the longer one, the depth-t check :func:`_list_levels_ok`."""
     ratios = tuple((p.numerator, p.denominator) for p in pf.props)
-    need1, action = _degree_rules(ratios, n)
+    need1, action = _degree_rules(ratios, min(n, len(edges) + 1))
 
     reference: list[list[int]] = [[] for _ in range(n)]
     kept_adj: list[list[int]] = [[] for _ in range(n)]
@@ -330,7 +325,7 @@ def _list_scan(
                     shared = not set(a).isdisjoint(b)
                 if shared:
                     continue
-                if rule == _PROBE_THEN_KEEP or not _levels_ok(x, reference[x], kept_adj, ratios)[0]:
+                if rule == _PROBE_THEN_KEEP or not _list_levels_ok(x, deg, reference[x], kept_adj, ratios):
                     keep = True
                     break
         flags.append(keep)
@@ -346,8 +341,7 @@ def _list_scan(
 def _mask_levels_ok(
     x: int, deg: int, ref: int, kept: list[int], ratios: Sequence[tuple[int, int]]
 ) -> bool:
-    """:func:`_levels_ok`'s verdict for ``x`` on bitmask rows, given that
-    level 1 passes.
+    """:func:`_list_levels_ok` on bitmask rows.
 
     ``ref`` is x's reference row as a mask, ``deg`` its popcount, and
     ``kept[w]`` w's kept row. Each level from 2 up ORs the kept rows of
@@ -388,7 +382,7 @@ def _mask_scan(
     set when (x, w) is a reference (kept) edge. The probe is
     ``kept[u] & kept[v]`` and the depth-t check :func:`_mask_levels_ok`."""
     ratios = tuple((p.numerator, p.denominator) for p in pf.props)
-    need1, action = _degree_rules(ratios, n)
+    need1, action = _degree_rules(ratios, min(n, len(edges) + 1))
 
     ref = [0] * n
     kept = [0] * n

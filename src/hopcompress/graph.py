@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from typing import IO, Iterable, Iterator, Sequence
 
 from .errors import EdgeListFormatError, SizeLimitError
@@ -261,23 +261,29 @@ def enumerate_simple_paths(g: Graph, u: int, v: int, max_len: int) -> list[Path]
 
 def edge_paths(g: Graph, t: int) -> Iterator[list[Path]]:
     """For each canonical edge ``(u, v)``, in :meth:`Graph.edges` order, the
-    simple paths of at most ``t`` edges between its endpoints, searched
-    from ``u``.
+    simple paths of at most ``t`` edges between its endpoints, in the
+    order of :func:`enumerate_simple_paths`.
 
-    The searches may scan :data:`MAX_PATH_SCANS` adjacency entries in all,
-    or :class:`~hopcompress.errors.SizeLimitError` is raised. It is raised
+    Up to ``t = 2`` they are read from the rows: the direct path and, at
+    ``t = 2``, one ``(u, w, v)`` per common neighbour w. From ``t = 3`` on
+    a search from ``u`` lists them, and the searches may scan
+    :data:`MAX_PATH_SCANS` adjacency entries in all, or
+    :class:`~hopcompress.errors.SizeLimitError` is raised. It is raised
     before any search when the first level alone passes the budget: the
-    search from ``u`` scans the row of ``u`` and, at ``t >= 2``, the row of
-    every neighbour but ``v``, which is all it scans at ``t <= 2`` and a
-    lower bound at ``t >= 3``. Otherwise it is raised mid-search, once the
+    search from ``u`` scans at least the row of ``u`` and the row of every
+    neighbour but ``v``. Otherwise it is raised mid-search, once the
     entries counted so far pass the budget.
     """
-    degree = list(map(len, g.adjacency))
-    if t == 1:
-        first_level = sum(degree[u] for u, _ in g.edges())
-    else:
-        reach = [d + sum(map(degree.__getitem__, row)) for d, row in zip(degree, g.adjacency)]
-        first_level = sum(reach[u] - degree[v] for u, v in g.edges())
+    adjacency = g.adjacency
+    if t <= 2:
+        for u, v in g.edges():
+            paths = [(u, w, v) for w in _common(adjacency[u], adjacency[v])] if t == 2 else []
+            insort(paths, (u, v))
+            yield paths
+        return
+    degree = list(map(len, adjacency))
+    reach = [d + sum(map(degree.__getitem__, row)) for d, row in zip(degree, adjacency)]
+    first_level = sum(reach[u] - degree[v] for u, v in g.edges())
     too_many = (
         f"more than {MAX_PATH_SCANS} adjacency entries to scan for paths of at most {t} "
         "edges exceed the path-search guard; use fewer hop levels or the random ordering instead"
@@ -291,6 +297,14 @@ def edge_paths(g: Graph, t: int) -> Iterator[list[Path]]:
         if scans_left < 0:
             raise SizeLimitError(too_many)
         yield paths
+
+
+def _common(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The entries two sorted rows share, ascending: walks the shorter row
+    and bisects into the longer, so a hub row is not scanned per edge."""
+    if len(a) > len(b):
+        a, b = b, a
+    return [w for w in a if (k := bisect_left(b, w)) < len(b) and b[k] == w]
 
 
 def _simple_paths(

@@ -43,29 +43,43 @@ def recursive_simple_paths(g: Graph, u: int, v: int, max_len: int) -> list[tuple
 
 
 def oracle_distances(g: Graph, source: int) -> dict[int, int]:
+    return oracle_hops(g.adjacency, source)
+
+
+def oracle_hops(adjacency, source: int) -> dict[int, int]:
+    """Hop distance from ``source`` to every vertex it reaches over the rows."""
     dist = {source: 0}
     queue = deque([source])
     while queue:
         x = queue.popleft()
-        for y in g.adjacency[x]:
+        for y in adjacency[x]:
             if y not in dist:
                 dist[y] = dist[x] + 1
                 queue.append(y)
     return dist
 
 
+def oracle_short_level(adjacency, v: int, base, props) -> tuple[int, int] | None:
+    """The first hop level at which ``v`` reaches fewer than p(level)·|base|
+    of the vertices ``base`` over the rows ``adjacency``, and how many it
+    reaches there; None when every level of ``props`` passes. A full-depth
+    BFS with ``Fraction`` thresholds, independent of the scan and of verify()."""
+    dist = oracle_hops(adjacency, v)
+    for level, p in enumerate(props, start=1):
+        reached = sum(1 for u in base if dist.get(u, 10**9) <= level)
+        if Fraction(reached) < p * len(base):
+            return level, reached
+    return None
+
+
 def oracle_violations(g: Graph, gc: Graph, pf: ProportionFunction) -> list[Violation]:
     """First failing level per vertex via a full-depth BFS, independent of verify()."""
     found = []
-    for v in range(g.n):
-        base = g.adjacency[v]
-        dist = oracle_distances(gc, v)
-        for level in range(1, pf.t + 1):
-            reached = sum(1 for u in base if dist.get(u, 10**9) <= level)
-            required = pf.at(level) * len(base)
-            if Fraction(reached) < required:
-                found.append(Violation(v, level, required, reached))
-                break
+    for v, base in enumerate(g.adjacency):
+        short = oracle_short_level(gc.adjacency, v, base, pf.props)
+        if short is not None:
+            level, reached = short
+            found.append(Violation(v, level, pf.props[level - 1] * len(base), reached))
     return found
 
 

@@ -2,7 +2,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hopcompress import (
@@ -10,7 +10,6 @@ from hopcompress import (
     InvalidOrderingError,
     NotASubgraphError,
     ProportionFunction,
-    Violation,
     compress_basic,
     random_order,
     verify,
@@ -18,15 +17,23 @@ from hopcompress import (
 import hopcompress.compress as compress_module
 from hopcompress.compress import (
     MASK_SCAN_MAX_N,
-    _levels_ok,
+    _degree_rules,
+    _list_levels_ok,
     _list_scan,
+    _mask_levels_ok,
     _mask_scan,
     _scan,
     parse_proportion,
     require_subgraph,
 )
 
-from conftest import oracle_satisfies, oracle_violations, proportion_functions, small_graphs
+from conftest import (
+    oracle_satisfies,
+    oracle_short_level,
+    oracle_violations,
+    proportion_functions,
+    small_graphs,
+)
 
 # thresholds that stay flat (p=0), always rise (p=1), or rise unevenly
 # with the degree (1/3, 2/3), at t = 1, 2 and 3
@@ -37,37 +44,22 @@ EDGE_CASE_PROPORTIONS = [
 
 
 def reference_scan(n, edges, pf):
-    """The scan with one depth-t BFS per endpoint per edge and nothing else."""
-    ratios = [(p.numerator, p.denominator) for p in pf.props]
-    reference = [set() for _ in range(n)]
+    """The scan with a full-depth BFS per endpoint per edge and nothing
+    else: conftest's oracle, which shares no code with either scan."""
+    reference = [[] for _ in range(n)]
     kept_adj = [[] for _ in range(n)]
     flags = []
     for u, v in edges:
-        reference[u].add(v)
-        reference[v].add(u)
-        keep = (
-            not _levels_ok(u, reference[u], kept_adj, ratios)[0]
-            or not _levels_ok(v, reference[v], kept_adj, ratios)[0]
+        reference[u].append(v)
+        reference[v].append(u)
+        keep = any(
+            oracle_short_level(kept_adj, x, reference[x], pf.props) is not None for x in (u, v)
         )
         flags.append(keep)
         if keep:
             kept_adj[u].append(v)
             kept_adj[v].append(u)
     return flags
-
-
-def reference_violations(g, gc, pf):
-    """``verify``'s loop as it was when it called the scan's ``_levels_ok``."""
-    ratios = [(p.numerator, p.denominator) for p in pf.props]
-    violations = []
-    for v in range(g.n):
-        base = g.adjacency[v]
-        ok, level, count = _levels_ok(v, base, gc.adjacency, ratios)
-        if not ok:
-            violations.append(
-                Violation(vertex=v, level=level, required=pf.at(level) * len(base), achieved=count)
-            )
-    return violations
 
 
 @st.composite
@@ -121,7 +113,7 @@ class TestProportionFunction:
             ProportionFunction.parse(text)
 
     def test_rejects_denominators_too_long_to_print(self):
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        limit = sys.get_int_max_str_digits()
         if not limit:
             pytest.skip("this Python prints integers of any length")
         # 10**(limit - 1) has limit digits; 10**limit has one too many
@@ -130,18 +122,33 @@ class TestProportionFunction:
             ProportionFunction.parse("0,0." + "0" * (limit - 1) + "1")
 
 
-class TestLevelsOk:
+class TestDepthChecks:
+    """Both scans' depth-t checks share one contract: given that level 1
+    passes, does x meet every level from 2 to t in the kept graph?"""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=verify_cases(), data=st.data())
+    def test_both_match_the_oracle(self, case, data):
+        g, gc, pf = case
+        x = data.draw(st.integers(0, g.n - 1))
+        base = g.adjacency[x]
+        assume(len(gc.adjacency[x]) >= pf.props[0] * len(base))
+        ratios = [(p.numerator, p.denominator) for p in pf.props]
+        expected = oracle_short_level(gc.adjacency, x, base, pf.props) is None
+        assert _list_levels_ok(x, len(base), base, gc.adjacency, ratios) == expected
+        masks = [sum(1 << w for w in row) for row in gc.adjacency]
+        assert _mask_levels_ok(x, len(base), sum(1 << w for w in base), masks, ratios) == expected
+
     def test_distance_two_neighbor_counts(self):
-        # v=0 keeps neighbor 1 adjacent; neighbor 2 is two hops away
-        gc = Graph.from_edges(4, [(0, 1), (1, 2)])
-        assert _levels_ok(0, {1, 2}, gc.adjacency, [(1, 2), (1, 1)]) == (True, 0, 2)
+        # x = 0 keeps neighbour 1; neighbour 2 is two hops away
+        kept = [[1], [0, 2], [1]]
+        assert _list_levels_ok(0, 2, [1, 2], kept, [(1, 2), (1, 1)])
+        assert _mask_levels_ok(0, 2, 0b110, [0b10, 0b101, 0b10], [(1, 2), (1, 1)])
 
-    def test_isolated_vertex_with_no_base(self):
-        assert _levels_ok(0, set(), [[], []], [(1, 1)]) == (True, 0, 0)
-
-    def test_unreachable_base_neighbor(self):
-        # p = 0,1: level 1 passes with nothing reached, level 2 fails
-        assert _levels_ok(0, {1}, [[], []], [(0, 1), (1, 1)]) == (False, 2, 0)
+    def test_unreachable_neighbor_fails_level_two(self):
+        # p = 0,1: level 1 passes with nothing kept, level 2 fails
+        assert not _list_levels_ok(0, 1, [1], [[], []], [(0, 1), (1, 1)])
+        assert not _mask_levels_ok(0, 1, 0b10, [0, 0], [(0, 1), (1, 1)])
 
 
 class TestCompressBasic:
@@ -289,7 +296,7 @@ class TestScan:
         g = gen_gnm(12, 30, 0)
         order = list(random_order(g, 0).edges)
         expected = reference_scan(g.n, order, pf)
-        for scan, bfs in ((_list_scan, "_levels_ok"), (_mask_scan, "_mask_levels_ok")):
+        for scan, bfs in ((_list_scan, "_list_levels_ok"), (_mask_scan, "_mask_levels_ok")):
             calls = []
             real = getattr(compress_module, bfs)
 
@@ -322,6 +329,24 @@ class TestScan:
                 patch.setattr(compress_module, "set", recording, raising=False)
                 assert _list_scan(13, order, pf) == expected
             assert built and max(built) <= 2, built
+
+    @pytest.mark.parametrize("scan", SCANS, ids=lambda scan: scan.__name__)
+    def test_degree_tables_sized_by_the_edges(self, monkeypatch, scan):
+        # one edge on 10**6 vertices reaches degree 1 at most, so the tables
+        # hold degrees 0 and 1; the scan is stopped before it allocates its rows
+        class Built(Exception):
+            pass
+
+        sizes = []
+
+        def recording(ratios, size):
+            sizes.extend(map(len, _degree_rules(ratios, size)))
+            raise Built
+
+        monkeypatch.setattr(compress_module, "_degree_rules", recording)
+        with pytest.raises(Built):
+            scan(10**6, [(0, 1)], ProportionFunction.parse("0,1/2"))
+        assert sizes == [2, 2]
 
     @pytest.mark.parametrize(
         ("n", "p", "expected"),
@@ -386,21 +411,26 @@ class TestVerify:
     @settings(max_examples=200, deadline=None)
     @given(case=verify_cases())
     def test_violations_match_the_levels_ok_loop(self, case):
+        # the loop of a first failing level per vertex, on conftest's
+        # full-depth BFS, up to 12 vertices and t = 4
         g, gc, pf = case
-        assert verify(g, gc, pf).violations == tuple(reference_violations(g, gc, pf))
+        assert verify(g, gc, pf).violations == tuple(oracle_violations(g, gc, pf))
 
     def test_shares_no_bfs_with_the_scan(self, monkeypatch):
         from hopcompress import gen_gnm
 
         def broken(*args):
-            raise AssertionError("verify called the scan's _levels_ok")
+            raise AssertionError("called a scan's depth-t check")
 
-        monkeypatch.setattr(compress_module, "_levels_ok", broken)
+        for name in ("_list_levels_ok", "_mask_levels_ok"):
+            monkeypatch.setattr(compress_module, name, broken)
         for seed in range(4):
             g = gen_gnm(14, 30, seed)
-            gc = Graph.from_edges(g.n, list(random_order(g, seed).edges)[::2])
+            order = list(random_order(g, seed).edges)
+            gc = Graph.from_edges(g.n, order[::2])
             for pf in EDGE_CASE_PROPORTIONS:
                 assert list(verify(g, gc, pf).violations) == oracle_violations(g, gc, pf)
+                reference_scan(g.n, order, pf)  # the scans' reference runs neither check
 
     def test_violation_details(self):
         # vertex 0 has neighbors {1, 2}; gc keeps only the edge to 1

@@ -15,7 +15,6 @@ from hopcompress import (
     write_edge_list,
 )
 import hopcompress.graph as graph_module
-from hopcompress.errors import SizeLimitError
 from hopcompress.graph import _simple_paths, edge_paths
 
 from conftest import recursive_simple_paths, small_graphs
@@ -280,9 +279,9 @@ class TestEdgePaths:
     @settings(max_examples=60, deadline=None)
     @given(g=small_graphs(), t=st.integers(1, 4))
     def test_first_level_count(self, g, t):
-        # A budget of exactly the scans the searches report is never refused,
-        # so the up-front count is at most that total; at t <= 2 one entry
-        # less is refused before any search, so the count equals it there.
+        # From t = 3 on, a budget of exactly the scans the searches report
+        # is never refused, so the up-front count is at most that total. Up
+        # to t = 2 the paths are read from the rows: no search, no budget.
         total = sum(_simple_paths(g, u, v, t, math.inf)[1] for u, v in g.edges())
         calls = []
 
@@ -292,11 +291,6 @@ class TestEdgePaths:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(graph_module, "_simple_paths", counting)
-            mp.setattr(graph_module, "MAX_PATH_SCANS", total)
+            mp.setattr(graph_module, "MAX_PATH_SCANS", total if t >= 3 else 0)
             assert len(list(edge_paths(g, t))) == g.m
-            if g.m and t <= 2:
-                calls.clear()
-                mp.setattr(graph_module, "MAX_PATH_SCANS", total - 1)
-                with pytest.raises(SizeLimitError, match="path-search guard"):
-                    next(edge_paths(g, t))
-                assert calls == []
+            assert len(calls) == (g.m if t >= 3 else 0)

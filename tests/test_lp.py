@@ -170,9 +170,10 @@ class TestBuildLp:
     @pytest.mark.parametrize(
         "build, p, message",
         [
-            # 9 997 entries scanned per spoke at t=2, 50.0M in all
-            (lambda: Graph.from_edges(5000, [(0, k) for k in range(1, 5000)]), "0,1/2",
-             f"more than {MAX_PATH_SCANS} adjacency entries to scan for paths of at most 2 edges"),
+            # 9 997 entries at the first level of each spoke's search at t=3,
+            # 49.97M in all
+            (lambda: Graph.from_edges(5000, [(0, k) for k in range(1, 5000)]), "0,0,1/2",
+             f"more than {MAX_PATH_SCANS} adjacency entries to scan for paths of at most 3 edges"),
             # every edge owns its direct path
             (lambda: Graph.from_edges(MAX_PATH_VARS + 2, [(i, i + 1) for i in range(MAX_PATH_VARS + 1)]),
              "1/2", f"more than {MAX_PATH_VARS} paths or {13 * MAX_PATH_VARS} constraint entries for paths of at most 1 edges"),
@@ -191,6 +192,16 @@ class TestBuildLp:
     def test_refused_before_any_search(self, path_enumerations, build, p, message):
         with pytest.raises(SizeLimitError, match=f"^{message} exceed the "):
             build_lp(build(), ProportionFunction.parse(p))
+        assert path_enumerations == []
+
+    @pytest.mark.parametrize("hub", [0, 7000], ids=["hub-first", "hub-last"])
+    @pytest.mark.parametrize("p", ["1", "0,1"])
+    def test_large_star_builds_without_a_search(self, path_enumerations, hub, p):
+        # K_{1,7000}: 7 000 direct paths, read from the rows at t <= 2; with
+        # the hub first, a search from it would scan 49M entries at t=1
+        star = Graph.from_edges(7001, [(hub, x) for x in range(7001) if x != hub])
+        model = build_lp(star, ProportionFunction.parse(p))
+        assert model.paths == tuple((e,) for e in star.edges())
         assert path_enumerations == []
 
     @settings(max_examples=25, deadline=None)
