@@ -13,7 +13,9 @@ import os
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
+from typing import Callable, TextIO
 
 from .compress import ProportionFunction, verify
 from .datagen import BUILTIN_NAMES, FamilySpec, builtin, gen_gnm
@@ -100,9 +102,12 @@ def _sa_params(args, seed: int) -> SaParams:
         raise CliError(f"invalid SA parameters: {exc}", EXIT_CONFIG) from exc
 
 
-def _write_text(path: str, text: str) -> None:
+def _write(path: str | Path, fill: Callable[[TextIO], object]) -> None:
+    """Open ``path`` for text and let ``fill`` write to it; an I/O failure
+    is a :class:`CliError` with exit code 2."""
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as handle:
+            fill(handle)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}", EXIT_IO) from exc
 
@@ -139,11 +144,7 @@ def cmd_compress(args) -> int:
         return EXIT_INTERNAL
 
     if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                write_edge_list(gc, handle)
-        except OSError as exc:
-            raise CliError(f"cannot write {args.output}: {exc}", EXIT_IO) from exc
+        _write(args.output, partial(write_edge_list, gc))
 
     ratio = Fraction(g.m - gc.m, g.m) if g.m else Fraction(0)
     payload = {
@@ -164,7 +165,7 @@ def cmd_compress(args) -> int:
         payload["lp_iterations"] = result.lp_iterations
     text = json.dumps(payload, indent=2) + "\n"
     if args.report:
-        _write_text(args.report, text)
+        _write(args.report, lambda handle: handle.write(text))
     print(text, end="")
     return EXIT_OK
 
@@ -203,12 +204,7 @@ def cmd_gen(args) -> int:
         raise CliError(f"cannot create {outdir}: {exc}", EXIT_IO) from exc
     for i in range(spec.count):
         g = gen_gnm(spec.n, spec.m, spec.seed + i)
-        path = outdir / f"gnm_n{spec.n}_m{spec.m}_{i:03d}.txt"
-        try:
-            with open(path, "w", encoding="utf-8") as handle:
-                write_edge_list(g, handle)
-        except OSError as exc:
-            raise CliError(f"cannot write {path}: {exc}", EXIT_IO) from exc
+        _write(outdir / f"gnm_n{spec.n}_m{spec.m}_{i:03d}.txt", partial(write_edge_list, g))
     print(f"wrote {spec.count} instance(s) to {outdir}")
     return EXIT_OK
 
@@ -273,7 +269,7 @@ def cmd_bench(args) -> int:
         return EXIT_INTERNAL
     print(report.format_table(), end="")
     if args.report:
-        _write_text(args.report, report.to_json())
+        _write(args.report, lambda handle: handle.write(report.to_json()))
     return EXIT_OK
 
 

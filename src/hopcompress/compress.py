@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import sys
 import time
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
 from typing import Sequence
 
 from .errors import InvalidOrderingError, NotASubgraphError
-from .graph import Edge, Graph, canonical_edge
+from .graph import Edge, Graph, _edge_rows, canonical_edge
 
 
 def parse_proportion(text: str) -> Fraction:
@@ -132,22 +130,18 @@ class CompressionResult:
 def _validate_ordering(g: Graph, edges: Sequence[Edge]) -> None:
     """Raise unless ``edges`` holds every edge of ``g`` once, either way round.
 
-    Each pair is found by bisection in its sorted adjacency row and
-    marks that row slot, so a repeat is caught without building a set.
+    Builds the order's rows as :meth:`Graph.from_edges` does and compares
+    each, sorted, with g's row. All are equal exactly when the order is
+    such a permutation: a repeat, a self-loop or a pair that is not an
+    edge leaves some row different.
     """
-    if len(edges) != g.m:
-        raise InvalidOrderingError("ordering is not a permutation of the graph's edges")
-    adjacency = g.adjacency
-    start = list(accumulate(map(len, adjacency), initial=0))  # row u's first slot
-    seen = bytearray(start[-1])
-    for u, v in edges:
-        if u > v:
-            u, v = v, u
-        row = adjacency[u] if 0 <= u and v < g.n else ()
-        k = bisect_left(row, v)
-        if k == len(row) or row[k] != v or seen[start[u] + k]:
-            raise InvalidOrderingError("ordering is not a permutation of the graph's edges")
-        seen[start[u] + k] = 1
+    message = "ordering is not a permutation of the graph's edges"
+    try:
+        rows = _edge_rows(g.n, edges)
+    except ValueError:  # an endpoint out of range
+        raise InvalidOrderingError(message) from None
+    if any(tuple(sorted(row)) != expected for row, expected in zip(rows, g.adjacency)):
+        raise InvalidOrderingError(message)
 
 
 # graphs with at most this many vertices are scanned on bitmask rows; a
@@ -379,31 +373,28 @@ def _mask_scan(
     swap: tuple[int, int] = (0, 0),
 ) -> list[bool]:
     """:func:`_scan` on bitmask rows: bit w of ``ref[x]`` (``kept[x]``) is
-    set when (x, w) is a reference (kept) edge. The probe is
-    ``kept[u] & kept[v]`` and the depth-t check :func:`_mask_levels_ok`."""
+    set when (x, w) is a reference (kept) edge, so a row's popcount is
+    x's reference (kept) degree. The probe is ``kept[u] & kept[v]`` and
+    the depth-t check :func:`_mask_levels_ok`."""
     ratios = tuple((p.numerator, p.denominator) for p in pf.props)
     need1, action = _degree_rules(ratios, min(n, len(edges) + 1))
 
     ref = [0] * n
     kept = [0] * n
-    deg = [0] * n
-    kept_deg = [0] * n
     flags: list[bool] = []
     i, j = swap  # without prev, i = 0: every position is decided
     for k, edge in enumerate(edges):
         u, v = edge
         ref[u] |= 1 << v
         ref[v] |= 1 << u
-        deg[u] += 1
-        deg[v] += 1
         if k < i:
             keep = prev[k]
         else:
             keep = False
             shared = None  # the probe's answer, once it has run
             for x in edge:
-                d = deg[x]
-                if kept_deg[x] < need1[d]:
+                d = ref[x].bit_count()
+                if kept[x].bit_count() < need1[d]:
                     keep = True
                     break
                 rule = action[d]
@@ -420,8 +411,6 @@ def _mask_scan(
         if keep:
             kept[u] |= 1 << v
             kept[v] |= 1 << u
-            kept_deg[u] += 1
-            kept_deg[v] += 1
         if k == j and prev is not None and _rejoins(flags, prev, i, j):
             flags.extend(prev[j + 1 :])
             break

@@ -87,13 +87,7 @@ class Graph:
         A self-loop or a repeated edge is caught by the constructor's row
         checks, which name the smallest one, without a set of every edge.
         """
-        adjacency: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-        return cls(adjacency, labels=labels)
+        return cls(_edge_rows(n, edges), labels=labels)
 
     def edges(self) -> Iterator[Edge]:
         """Iterate canonical ``u < v`` edges in ascending order.
@@ -130,6 +124,19 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _edge_rows(n: int, edges: Iterable[Edge]) -> list[list[int]]:
+    """One unsorted row per vertex, each edge appended to both endpoints'
+    rows as given: repeats and self-loops are kept. Raises ValueError
+    for an endpoint outside ``0..n-1``."""
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        rows[u].append(v)
+        rows[v].append(u)
+    return rows
 
 
 def load_edge_list(source: IO[str] | Iterable[str]) -> Graph:
@@ -316,8 +323,7 @@ def _simple_paths(
     count passes it."""
     adjacency = g.adjacency
     paths: list[Path] = []
-    on_path = [False] * g.n
-    on_path[u] = True
+    on_path = {u}  # a set, not n flags: one search runs per edge
     path = [u]
     scans = len(adjacency[u])
     # stack of per-vertex neighbor cursors, mirroring `path`
@@ -329,18 +335,18 @@ def _simple_paths(
         if i >= len(neighbors):
             cursors.pop()
             path.pop()
-            on_path[x] = False
+            on_path.remove(x)
             continue
         cursors[-1] = i + 1
         y = neighbors[i]
         if y == v:
             paths.append(tuple(path) + (v,))
             continue
-        if not on_path[y] and len(path) <= max_len - 1:
+        if y not in on_path and len(path) <= max_len - 1:
             scans += len(adjacency[y])  # every entry of a row pushed is scanned once
             if scans > max_scans:
                 break
-            on_path[y] = True
+            on_path.add(y)
             path.append(y)
             cursors.append(0)
     return paths, scans

@@ -84,6 +84,45 @@ def scan_cases(draw):
     return g, order, pf
 
 
+@st.composite
+def corrupted_orders(draw):
+    """A graph and an order of its edges, either way round, with at most
+    one corruption: a dropped or repeated edge, a pair that is not an
+    edge, or an endpoint out of range, inserted or in place of an edge."""
+    g = draw(small_graphs())
+    order = [e if draw(st.booleans()) else e[::-1] for e in draw(st.permutations(list(g.edges())))]
+    kind = draw(
+        st.sampled_from(
+            ["none", "drop", "repeat", "reversed repeat", "non-edge", "self-loop", "out of range", "negative"]
+        )
+    )
+    if kind in ("drop", "repeat", "reversed repeat") and order:
+        e = order[draw(st.integers(0, len(order) - 1))]
+        if kind == "drop":
+            order.remove(e)
+        else:
+            order.insert(draw(st.integers(0, len(order))), e if kind == "repeat" else e[::-1])
+    elif kind != "none":
+        w = draw(st.integers(0, g.n - 1))
+        if kind == "non-edge":
+            others = [x for x in range(g.n) if x != w and not g.has_edge(w, x)]
+            if not others:
+                return g, order
+            pair = (w, draw(st.sampled_from(others)))
+        elif kind == "self-loop":
+            pair = (w, w)
+        elif kind == "out of range":
+            pair = (w, g.n + draw(st.integers(0, 3)))
+        else:
+            pair = (w, -draw(st.integers(1, 3)))
+        pair = pair if draw(st.booleans()) else pair[::-1]
+        if order and draw(st.booleans()):
+            order[draw(st.integers(0, len(order) - 1))] = pair
+        else:
+            order.insert(draw(st.integers(0, len(order))), pair)
+    return g, order
+
+
 class TestProportionFunction:
     def test_parse_decimals_and_ratios(self):
         pf = ProportionFunction.parse("0.5,1")
@@ -184,6 +223,20 @@ class TestCompressBasic:
         g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)])
         with pytest.raises(InvalidOrderingError, match="not a permutation"):
             compress_basic(g, ProportionFunction.parse("1"), order)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=corrupted_orders())
+    def test_rejects_exactly_the_non_permutations(self, case):
+        g, order = case
+        canonical = [(min(e), max(e)) for e in order]
+        permutation = len(set(canonical)) == len(canonical) and set(canonical) == g.edge_set()
+        try:
+            compress_basic(g, ProportionFunction.parse("1/2,1"), order)
+        except InvalidOrderingError as exc:
+            assert not permutation
+            assert "not a permutation" in str(exc)
+        else:
+            assert permutation
 
     def test_accepts_reversed_edges(self, diamond):
         pf = ProportionFunction.parse("1/2,1")

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from collections import Counter
 from itertools import combinations
 
@@ -146,6 +147,15 @@ class TestEcScores:
     )
     def test_exact_scores(self, g, t, score):
         assert ec_scores(g, t) == dict.fromkeys(g.edges(), score)
+
+    def test_long_path_scores_quickly(self):
+        # one path search per edge: a search must cost its own path, not n
+        n = 50_000
+        path = Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+        start = time.perf_counter()
+        scores = ec_scores(path, 3)
+        assert time.perf_counter() - start < 2.0
+        assert scores == dict.fromkeys(path.edges(), 1)
 
     def test_edgeless_graph(self):
         g = Graph.from_edges(5, [])
