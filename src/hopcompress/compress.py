@@ -12,7 +12,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .errors import InvalidOrderingError, NotASubgraphError
@@ -67,6 +67,11 @@ class ProportionFunction:
     @property
     def t(self) -> int:
         return len(self.props)
+
+    @cached_property
+    def ratios(self) -> tuple[tuple[int, int], ...]:
+        """(numerator, denominator) of p(1..t); cached, not a dataclass field."""
+        return tuple((p.numerator, p.denominator) for p in self.props)
 
     def at(self, x: int) -> Fraction:
         """p(x) for x >= 1, saturating at p(t)."""
@@ -288,7 +293,7 @@ def _list_scan(
 ) -> list[bool]:
     """:func:`_scan` on adjacency lists: the probe is a set of the shorter
     kept row against the longer one, the depth-t check :func:`_list_levels_ok`."""
-    ratios = tuple((p.numerator, p.denominator) for p in pf.props)
+    ratios = pf.ratios
     need1, action = _degree_rules(ratios, min(n, len(edges) + 1))
 
     reference: list[list[int]] = [[] for _ in range(n)]
@@ -376,7 +381,7 @@ def _mask_scan(
     set when (x, w) is a reference (kept) edge, so a row's popcount is
     x's reference (kept) degree. The probe is ``kept[u] & kept[v]`` and
     the depth-t check :func:`_mask_levels_ok`."""
-    ratios = tuple((p.numerator, p.denominator) for p in pf.props)
+    ratios = pf.ratios
     need1, action = _degree_rules(ratios, min(n, len(edges) + 1))
 
     ref = [0] * n
@@ -541,12 +546,11 @@ def verify(g: Graph, gc: Graph, pf: ProportionFunction) -> VerificationReport:
     shares no code with the scan; all violations are reported.
     """
     require_subgraph(g, gc)
-    ratios = [(p.numerator, p.denominator) for p in pf.props]
     base_mark = [-1] * g.n
     seen = [-1] * g.n
     violations: list[Violation] = []
     for v, base in enumerate(g.adjacency):
-        level, count = _short_level(v, base, gc.adjacency, ratios, base_mark, seen)
+        level, count = _short_level(v, base, gc.adjacency, pf.ratios, base_mark, seen)
         if level:
             violations.append(
                 Violation(

@@ -8,11 +8,12 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import Iterator
 
 from .compress import ProportionFunction, require_subgraph, verify
 from .datagen import FamilySpec, gen_gnm
 from .errors import SizeLimitError
-from .graph import Graph, hop_distance
+from .graph import Graph
 from .orderings import SaParams, normalize_strategy, run_strategy
 
 BRUTE_FORCE_EDGE_LIMIT = 20
@@ -37,36 +38,39 @@ class SpHistogram:
         return sum(self.lengths.values()) + self.disconnected
 
 
+def _levels(adjacency, source: int, stamp: list[int]) -> Iterator[list[int]]:
+    """Yield the non-empty levels of a BFS from ``source``: the vertices first
+    reached at depth 1, 2, ... Each vertex reached, ``source`` too, is marked
+    ``stamp[y] = source``, so one stamp list serves every source uncleared."""
+    stamp[source] = source
+    frontier = [source]
+    while True:
+        nxt: list[int] = []
+        for x in frontier:
+            for y in adjacency[x]:
+                if stamp[y] != source:
+                    stamp[y] = source
+                    nxt.append(y)
+        if not nxt:
+            return
+        yield nxt
+        frontier = nxt
+
+
 def sp_histogram(g: Graph) -> SpHistogram:
     """All-pairs BFS; every unordered pair counted once.
 
-    Flat visit-stamp arrays instead of per-source dicts keep this usable
-    on the ten-thousand-vertex collaboration networks. Each BFS level adds
-    its size to its depth; every pair is reached from both ends, so halve.
+    One BFS per source over a shared stamp list. Each level adds its size
+    to its depth; every pair is reached from both ends, so halve.
     """
     n = g.n
-    adjacency = g.adjacency
     reached: dict[int, int] = {}
     stamp = [-1] * n
     for u in range(n):
-        stamp[u] = u
-        frontier = [u]
-        depth = 0
-        while frontier:
-            depth += 1
-            nxt: list[int] = []
-            for x in frontier:
-                for y in adjacency[x]:
-                    if stamp[y] != u:
-                        stamp[y] = u
-                        nxt.append(y)
-            reached[depth] = reached.get(depth, 0) + len(nxt)
-            frontier = nxt
-    lengths = {depth: count // 2 for depth, count in sorted(reached.items()) if count}
-    return SpHistogram(
-        lengths=lengths,
-        disconnected=n * (n - 1) // 2 - sum(lengths.values()),
-    )
+        for depth, level in enumerate(_levels(g.adjacency, u, stamp), start=1):
+            reached[depth] = reached.get(depth, 0) + len(level)
+    lengths = {depth: count // 2 for depth, count in sorted(reached.items())}
+    return SpHistogram(lengths, disconnected=n * (n - 1) // 2 - sum(lengths.values()))
 
 
 @dataclass(frozen=True)
@@ -79,17 +83,33 @@ def stretch_check(g: Graph, gc: Graph, t: int) -> StretchReport:
     """Bound the detour of every removed edge.
 
     Each edge of ``g`` missing from ``gc`` must be bridged by a path of
-    at most ``t`` hops; reports the longest such detour observed.
+    at most ``t`` hops; reports the longest such detour. An edge across
+    two components of ``gc`` makes it ``inf`` at once; otherwise one BFS
+    per lower endpoint stops at the depth where it has reached all of
+    that endpoint's removed neighbours.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
     require_subgraph(g, gc)
-    worst = 1.0
+    removed: dict[int, set[int]] = {}
     for u, v in g.edges():
-        if gc.has_edge(u, v):
-            continue
-        dist = hop_distance(gc.adjacency, u, v)
-        worst = max(worst, float(dist) if dist is not None else math.inf)
+        if not gc.has_edge(u, v):
+            removed.setdefault(u, set()).add(v)
+    label = [-1] * g.n  # ends as the smallest vertex of each vertex's component
+    for s in range(g.n):
+        if label[s] < 0:
+            for _ in _levels(gc.adjacency, s, label):
+                pass
+    if any(label[v] != label[u] for u, far in removed.items() for v in far):
+        return StretchReport(ok=False, max_stretch=math.inf)
+    worst = 1.0
+    stamp = [-1] * g.n
+    for u, far in removed.items():
+        for depth, level in enumerate(_levels(gc.adjacency, u, stamp), start=1):
+            far.difference_update(level)
+            if not far:
+                break
+        worst = max(worst, float(depth))
     return StretchReport(ok=worst <= t, max_stretch=worst)
 
 

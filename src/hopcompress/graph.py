@@ -227,30 +227,6 @@ def write_edge_list(g: Graph, out: IO[str]) -> None:
                     out.write(f"{u} {v}\n")
 
 
-def hop_distance(adjacency: Sequence[Sequence[int]], source: int, target: int) -> int | None:
-    """Hop distance from ``source`` to ``target``, or None when unreachable.
-
-    Level-by-level BFS that stops as soon as ``target`` is reached.
-    """
-    if source == target:
-        return 0
-    seen = {source}
-    frontier = [source]
-    hops = 0
-    while frontier:
-        hops += 1
-        nxt: list[int] = []
-        for x in frontier:
-            for y in adjacency[x]:
-                if y == target:
-                    return hops
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return None
-
-
 def enumerate_simple_paths(g: Graph, u: int, v: int, max_len: int) -> list[Path]:
     """Every simple path from ``u`` to ``v`` with at most ``max_len`` edges.
 

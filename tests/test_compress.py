@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import sys
 from fractions import Fraction
 
@@ -129,6 +131,14 @@ class TestProportionFunction:
         assert pf.props == (Fraction(1, 2), Fraction(1))
         assert ProportionFunction.parse("1/2,1") == pf
         assert pf.t == 2
+
+    def test_ratios_are_cached_outside_the_fields(self):
+        pf = ProportionFunction.parse("0,1/2,2/3")
+        before = (repr(pf), hash(pf), dataclasses.asdict(pf))
+        assert pf.ratios == ((0, 1), (1, 2), (2, 3)) and pf.ratios is pf.ratios
+        assert (repr(pf), hash(pf), dataclasses.asdict(pf)) == before
+        assert pf == ProportionFunction.parse("0,1/2,2/3")
+        assert pickle.loads(pickle.dumps(pf)) == pf
 
     def test_saturates_beyond_t(self):
         pf = ProportionFunction.parse("0,1/2")

@@ -2,12 +2,15 @@ import concurrent.futures
 import json
 import math
 import os
+import random
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hopcompress import (
     FamilySpec,
@@ -16,6 +19,7 @@ from hopcompress import (
     ProportionFunction,
     SaParams,
     SizeLimitError,
+    StretchReport,
     bench_orderings,
     brute_force_optimal,
     compress_basic,
@@ -108,6 +112,34 @@ class TestStretchCheck:
     def test_rejects_t_below_one(self, diamond):
         with pytest.raises(ValueError, match="t must be >= 1"):
             stretch_check(diamond, diamond, 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=small_graphs(min_n=0, max_n=9), keep=st.lists(st.booleans(), max_size=36), t=st.integers(1, 4))
+    @example(g=Graph.from_edges(0, []), keep=[], t=1)
+    # two triangles, each missing one edge, beside an isolated vertex
+    @example(g=Graph.from_edges(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]), keep=[1, 0, 1, 0, 1, 1], t=1)
+    def test_matches_oracle_distances(self, g, keep, t):
+        # edge i is kept when keep[i] is true, so kept graphs fall into
+        # several components and leave vertices isolated
+        gc = Graph.from_edges(g.n, [e for e, k in zip(g.edges(), keep) if k])
+        removed = [(u, v) for u, v in g.edges() if not gc.has_edge(u, v)]
+        worst = max((float(oracle_distances(gc, u).get(v, math.inf)) for u, v in removed), default=1.0)
+        report = stretch_check(g, gc, t)
+        assert report == StretchReport(ok=worst <= t, max_stretch=worst)
+        assert type(report.max_stretch) is float
+
+    def test_edges_across_components_answer_at_once(self):
+        # each removed edge joins two kept paths; a BFS per edge would
+        # walk a whole path each time
+        n = 5000
+        paths = [(i, i + 1) for i in range(n - 1)] + [(n + i, n + i + 1) for i in range(n - 1)]
+        cross = [(k // n, n + k % n) for k in random.Random(0).sample(range(n * n), 3000)]
+        g = Graph.from_edges(2 * n, paths + cross)
+        gc = Graph.from_edges(2 * n, paths)
+        start = time.perf_counter()
+        report = stretch_check(g, gc, 2)
+        assert time.perf_counter() - start < 1.0
+        assert not report.ok and math.isinf(report.max_stretch)
 
 
 class TestBruteForceOptimal:
