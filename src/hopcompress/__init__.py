@@ -51,6 +51,7 @@ from .orderings import (
     random_order,
     run_strategy,
     sa_compress,
+    sa_order,
 )
 
 __version__ = "0.1.0"
@@ -92,6 +93,7 @@ __all__ = [
     "random_order",
     "run_strategy",
     "sa_compress",
+    "sa_order",
     "solve_lp",
     "sp_histogram",
     "stretch_check",

@@ -211,18 +211,18 @@ def cmd_gen(args) -> int:
 
 def cmd_eval(args) -> int:
     g = _load_graph(args.graph)
+    gc = None if args.compressed is None else _load_onto(g, args.compressed)
     if args.metric == "sp-hist":
         start = time.perf_counter()
         hist_g = sp_histogram(g)
         secs_g = time.perf_counter() - start
-        if args.compressed is None:
+        if gc is None:
             print(f"{'length':>8} {'pairs':>12}")
             for length, count in hist_g.lengths.items():
                 print(f"{length:>8} {count:>12}")
             print(f"{'disc':>8} {hist_g.disconnected:>12}")
             print(f"bfs seconds: {secs_g:.6f}")
             return EXIT_OK
-        gc = _load_onto(g, args.compressed)
         start = time.perf_counter()
         hist_c = sp_histogram(gc)
         secs_c = time.perf_counter() - start
@@ -237,7 +237,6 @@ def cmd_eval(args) -> int:
         speedup = secs_g / secs_c if secs_c > 0 else float("inf")
         print(f"bfs seconds: original {secs_g:.6f}, compressed {secs_c:.6f}, speed-up {speedup:.3f}")
         return EXIT_OK
-    gc = _load_onto(g, args.compressed)
     try:
         if args.metric == "stretch":
             report = stretch_check(g, gc, args.t)

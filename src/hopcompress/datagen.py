@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from importlib import resources
@@ -33,17 +34,12 @@ class FamilySpec:
 
 def _pair_from_index(n: int, k: int) -> tuple[int, int]:
     # pairs (u, v), u < v, in lexicographic order; row u starts at
-    # u*(2n - u - 1)/2
-    lo, hi = 0, n - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if mid * (2 * n - mid - 1) // 2 <= k:
-            lo = mid
-        else:
-            hi = mid - 1
-    u = lo
-    v = u + 1 + (k - u * (2 * n - u - 1) // 2)
-    return u, v
+    # u*(2n - u - 1)/2. The last j rows hold j(j + 1)/2 pairs, so the
+    # pair r places from the end lies in row n - 2 - j for the largest j
+    # with j(j + 1)/2 <= r.
+    r = n * (n - 1) // 2 - 1 - k
+    u = n - 2 - (math.isqrt(8 * r + 1) - 1) // 2
+    return u, k - u * (2 * n - u - 1) // 2 + u + 1
 
 
 def gen_gnm(n: int, m: int, seed: int) -> Graph:

@@ -154,8 +154,8 @@ def lp_order(g: Graph, pf: ProportionFunction) -> EdgeOrdering:
     )
 
 
-def sa_compress(g: Graph, pf: ProportionFunction, params: SaParams) -> CompressionResult:
-    """Search the ordering space by simulated annealing.
+def sa_order(g: Graph, pf: ProportionFunction, params: SaParams) -> EdgeOrdering:
+    """The best order a simulated-annealing search over the ordering space finds.
 
     The initial state equals ``random_order(g, params.seed)``; the swap
     positions and acceptance draws continue from the same seeded stream.
@@ -165,8 +165,7 @@ def sa_compress(g: Graph, pf: ProportionFunction, params: SaParams) -> Compressi
     so the acceptance chance shrinks as T cools. Once T underflows to 0
     only an equal-cost swap is accepted, the limit of that chance; the
     draw is still made, so the stream does not shift. The best order
-    seen is tracked and compressed once more for the returned result,
-    whose ``seconds`` covers the whole search.
+    seen is returned.
 
     A trial does not rescan the whole order: it replays the decisions
     before the first swapped position from the current order's keep
@@ -174,7 +173,6 @@ def sa_compress(g: Graph, pf: ProportionFunction, params: SaParams) -> Compressi
     match, reuses the current order's later decisions too. The costs,
     and so the search, are identical to a full rescan per trial.
     """
-    start = time.perf_counter()
     rng = random.Random(params.seed)
     current = list(g.edges())
     rng.shuffle(current)
@@ -212,9 +210,13 @@ def sa_compress(g: Graph, pf: ProportionFunction, params: SaParams) -> Compressi
                 cost_current = cost
         temperature *= params.alpha
 
-    ordering = EdgeOrdering(edges=tuple(best), strategy="sa", seed=params.seed)
-    result = compress_basic(g, pf, ordering)
-    return dataclasses.replace(result, seconds=time.perf_counter() - start)
+    return EdgeOrdering(edges=tuple(best), strategy="sa", seed=params.seed)
+
+
+def sa_compress(g: Graph, pf: ProportionFunction, params: SaParams) -> CompressionResult:
+    """Compress under :func:`sa_order`'s best order; ``seconds`` covers the
+    whole search."""
+    return run_strategy(g, pf, "sa", seed=params.seed, sa_params=params)
 
 
 def run_strategy(
@@ -236,11 +238,12 @@ def run_strategy(
         _highs_core()  # loads numpy with it
     start = time.perf_counter()
     if strategy == "sa":
-        result = sa_compress(g, pf, dataclasses.replace(sa_params or SaParams(), seed=seed))
+        order = sa_order(g, pf, dataclasses.replace(sa_params or SaParams(), seed=seed))
     elif strategy == "lp":
-        result = compress_basic(g, pf, lp_order(g, pf))
+        order = lp_order(g, pf)
     elif strategy == "ec":
-        result = compress_basic(g, pf, ec_order(g, pf.t))
+        order = ec_order(g, pf.t)
     else:
-        result = compress_basic(g, pf, random_order(g, seed))
+        order = random_order(g, seed)
+    result = compress_basic(g, pf, order)
     return dataclasses.replace(result, seconds=time.perf_counter() - start)

@@ -299,6 +299,20 @@ class TestGenAndEval:
         lu, lv = edge.split()
         assert capsys.readouterr().err == f"error: edge ({lu}, {lv}) {fault}\n"
 
+    def test_sp_hist_reads_the_compressed_file_first(self, tmp_path, monkeypatch, capsys):
+        def no_metric(g):
+            raise AssertionError("sp_histogram ran before the compressed file was read")
+
+        monkeypatch.setattr("hopcompress.cli.sp_histogram", no_metric)
+        original = tmp_path / "g.txt"
+        original.write_text("0 1\n1 2\n")
+        assert main(["eval", "sp-hist", str(original), str(tmp_path / "missing.txt")]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read ")
+        foreign = tmp_path / "gc.txt"
+        foreign.write_text("0 2\n")
+        assert main(["eval", "sp-hist", str(original), str(foreign)]) == 1
+        assert capsys.readouterr().err == "error: edge (0, 2) is not present in the original graph\n"
+
 
 class TestBench:
     def test_table_and_report(self, tmp_path, capsys):

@@ -1,9 +1,12 @@
 import math
+import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
 from hopcompress import FamilySpec, builtin, gen_gnm
+from hopcompress.datagen import _pair_from_index
 
 
 class TestGenGnm:
@@ -40,6 +43,22 @@ class TestGenGnm:
         sigma = math.sqrt(p * (1 - p) / trials)
         for e, hits in counts.items():
             assert abs(hits / trials - p) <= 3 * sigma, e
+
+
+class TestPairFromIndex:
+    def test_follows_combinations_order(self):
+        for n in range(41):
+            pairs = list(combinations(range(n), 2))
+            assert [_pair_from_index(n, k) for k in range(len(pairs))] == pairs, n
+
+    def test_rank_inverts_it_at_huge_n(self):
+        n = 10**15
+        capacity = n * (n - 1) // 2
+        rng = random.Random(0)
+        for k in [0, 1, capacity - 2, capacity - 1] + [rng.randrange(capacity) for _ in range(2000)]:
+            u, v = _pair_from_index(n, k)
+            assert 0 <= u < v < n
+            assert u * (2 * n - u - 1) // 2 + v - u - 1 == k
 
 
 class TestFamilySpec:

@@ -17,8 +17,10 @@ from hopcompress import (
     ec_order,
     ec_scores,
     gen_gnm,
+    lp_order,
     random_order,
     sa_compress,
+    sa_order,
     verify,
 )
 
@@ -26,7 +28,7 @@ import hopcompress.graph as graph_module
 import hopcompress.orderings as orderings_module
 from hopcompress.graph import _simple_paths
 
-from conftest import recursive_simple_paths, small_graphs
+from conftest import proportion_functions, recursive_simple_paths, small_graphs
 
 
 def oracle_ec_scores(g, t):
@@ -223,6 +225,25 @@ class TestEcOrder:
         assert orderings_module._descending(scores) == (
             (0, 2), (1, 3), (0, 1), (1, 2), (2, 3), (0, 3)
         )
+
+
+class TestOrderBuilders:
+    @settings(max_examples=40, deadline=None)
+    @given(g=small_graphs(), pf=proportion_functions(), seed=...)
+    def test_every_order_is_a_permutation_of_the_edges(self, g, pf, seed: int):
+        orders = [random_order(g, seed), lp_order(g, pf)]
+        orders += [ec_order(g, t) for t in (1, 2, 3)]
+        orders.append(sa_order(g, pf, SaParams(iterations=20, seed=seed)))
+        for order in orders:
+            assert sorted(order.edges) == list(g.edges()), order.strategy
+
+    @settings(max_examples=25, deadline=None)
+    @given(g=small_graphs(), pf=proportion_functions(), seed=...)
+    def test_sa_best_order_replays(self, g, pf, seed: int):
+        params = SaParams(iterations=20, seed=seed)
+        order = sa_order(g, pf, params)
+        assert (order.strategy, order.seed) == ("sa", seed)
+        assert compress_basic(g, pf, order).kept == sa_compress(g, pf, params).kept
 
 
 class TestSaCompress:
