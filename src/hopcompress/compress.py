@@ -8,6 +8,7 @@ are exact rationals and every threshold comparison is exact.
 
 from __future__ import annotations
 
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -22,13 +23,14 @@ from .graph import Edge, Graph, _edge_rows, canonical_edge
 def parse_proportion(text: str) -> Fraction:
     """Parse one proportion given as a decimal ("0.5") or ratio ("1/2").
 
-    An exponent is refused before ``Fraction`` expands it into a power of
-    ten: "1e-5000" gives a denominator too long to print, and
-    "1e-999999999" one of a billion digits. A denominator with more
+    A decimal with an exponent is refused before ``Fraction`` expands it
+    into a power of ten: "1e-5000" gives a denominator too long to print,
+    and "1e-999999999" one of a billion digits. Other text with an "e"
+    ("one") gets ``Fraction``'s own message. A denominator with more
     digits than Python's int-to-str limit is refused too, since a report
     could not print it ("0.0…01" with 4300 decimals has 4301).
     """
-    if "e" in text.lower():
+    if re.fullmatch(r"\s*[-+]?(?=\.?\d)[\d_]*(\.[\d_]*)?e[-+]?[\d_]+\s*", text, re.IGNORECASE):
         raise ValueError(f"exponent in {text!r}; write a decimal or a ratio")
     try:
         value = Fraction(text.strip())
@@ -353,7 +355,7 @@ def _mask_levels_ok(
     frontier = kept[x]  # level 1: every kept neighbour is a reference one
     if frontier.bit_count() >= need:
         return True
-    reach = frontier | 1 << x
+    reach = frontier  # x joins it at level 2; x's bit is in no reference row
     for num, den in ratios[1:]:
         nxt = 0
         while frontier:
@@ -384,14 +386,15 @@ def _mask_scan(
     ratios = pf.ratios
     need1, action = _degree_rules(ratios, min(n, len(edges) + 1))
 
+    bit = [1 << w for w in range(n)]  # Python ints, whatever type the ids are
     ref = [0] * n
     kept = [0] * n
     flags: list[bool] = []
     i, j = swap  # without prev, i = 0: every position is decided
     for k, edge in enumerate(edges):
         u, v = edge
-        ref[u] |= 1 << v
-        ref[v] |= 1 << u
+        ref[u] |= bit[v]
+        ref[v] |= bit[u]
         if k < i:
             keep = prev[k]
         else:
@@ -414,8 +417,8 @@ def _mask_scan(
                     break
         flags.append(keep)
         if keep:
-            kept[u] |= 1 << v
-            kept[v] |= 1 << u
+            kept[u] |= bit[v]
+            kept[v] |= bit[u]
         if k == j and prev is not None and _rejoins(flags, prev, i, j):
             flags.extend(prev[j + 1 :])
             break

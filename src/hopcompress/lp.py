@@ -296,27 +296,17 @@ def _highs_solve(costs, rows: _Rows):
 
     core = _highs_core()
     n, m = costs.size, rows.lower.size
-    lp = core.HighsLp()
-    lp.num_col_ = n
-    lp.num_row_ = m
-    lp.col_cost_ = costs
-    lp.col_lower_ = np.zeros(n)
-    lp.col_upper_ = np.ones(n)
-    lp.row_lower_ = rows.lower
-    lp.row_upper_ = rows.upper
-    matrix = lp.a_matrix_
-    matrix.format_ = core.MatrixFormat.kRowwise
-    matrix.num_col_ = n
-    matrix.num_row_ = m
-    matrix.start_ = rows.start
-    matrix.index_ = rows.col
-    matrix.value_ = rows.coeff
-
     highs = core._Highs()
     for name, value in _HIGHS_OPTIONS:
         if highs.setOptionValue(name, value) != core.HighsStatus.kOk:
             raise RuntimeError(f"HiGHS rejected option {name}={value!r}")
-    if highs.passModel(lp) == core.HighsStatus.kError:
+    # the C API's array form: one start per row (HiGHS appends nnz), all columns continuous
+    status = highs.passModel(
+        n, m, rows.col.size, core.MatrixFormat.kRowwise, core.ObjSense.kMinimize, 0.0,
+        costs, np.zeros(n), np.ones(n), rows.lower, rows.upper,
+        rows.start[:-1], rows.col, rows.coeff, np.zeros(n, dtype=np.int32),
+    )
+    if status == core.HighsStatus.kError:
         raise RuntimeError("HiGHS rejected the LP model")
     highs.run()
     status = highs.getModelStatus()

@@ -1,6 +1,7 @@
 import itertools
 import json
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from hopcompress import Graph, builtin, write_edge_list
 from hopcompress.cli import main
+from hopcompress.compress import VerificationReport, Violation
 
 
 def write_graph(path, g):
@@ -177,6 +179,28 @@ class TestCompress:
         err = capsys.readouterr().err
         assert err.startswith("error: LP solution violates row ")
         assert "use the ec or random ordering" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("option", ["-o", "--report"])
+    def test_unwritable_path_is_io_error(self, triangle_file, tmp_path, option, capsys):
+        target = tmp_path / "missing" / "out.txt"
+        assert main(["compress", triangle_file, "--p", "1", option, str(target)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {target}: ")
+
+    @pytest.mark.parametrize("p", ["one", "none", "half"])
+    def test_word_proportion_is_not_an_exponent(self, p, capsys):
+        assert main(["compress", "zachary", "--p", p]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: invalid --p value {p!r}: Invalid literal for Fraction: {p!r}\n"
+
+    def test_unsound_output_is_internal_error(self, monkeypatch, capsys):
+        broken = VerificationReport(False, (Violation(vertex=5, level=2, required=Fraction(3), achieved=1),))
+        monkeypatch.setattr("hopcompress.cli.verify", lambda *args: broken)
+        assert main(["compress", "zachary", "--p", "1/2,1"]) == 3
+        err = capsys.readouterr().err
+        assert err == (
+            "internal error: output fails verification (vertex 5: 1 of its neighbors "
+            "within 2 hop(s), needs at least 3)\n"
+        )
 
 
 class TestVerify:
@@ -369,6 +393,15 @@ class TestBench:
             payloads.append(json.dumps(payload, sort_keys=True))
         capsys.readouterr()
         assert payloads[0] == payloads[1]
+
+    def test_unsound_output_is_internal_error(self, monkeypatch, capsys):
+        broken = VerificationReport(False, (Violation(vertex=5, level=1, required=Fraction(2), achieved=1),))
+        monkeypatch.setattr("hopcompress.evaluate.verify", lambda *args: broken)
+        code = main(["bench", "--family", "8,12,2", "--p", "1", "--strategies", "basic", "--jobs", "1"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: soundness violation: strategy basic-random seed 0 ")
+        assert err.endswith("first: vertex 5: 1 of its neighbors within 1 hop(s), needs at least 2\n")
 
     def test_bad_family_string(self):
         assert main(["bench", "--family", "8,12", "--p", "1"]) == 1

@@ -3,6 +3,7 @@ import pickle
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -428,6 +429,33 @@ class TestScan:
             )
         _scan(n, [(0, 1)], ProportionFunction.parse(p))
         assert chosen == [expected]
+
+
+class TestNumpyIds:
+    """Vertex ids of a NumPy integer type scan as the Python ints they equal."""
+
+    @pytest.mark.parametrize("p", ["1/2,1", "0,1/2", "1/3,2/3,1"])
+    @pytest.mark.parametrize("n", [200, 2000], ids=["mask-scan", "list-scan"])
+    def test_numpy_graph_keeps_the_int_graphs_edges(self, n, p):
+        from hopcompress import gen_gnm, run_strategy
+
+        g = gen_gnm(n, 5 * n, 1)
+        g_np = Graph.from_edges(n, np.array(list(g.edges())))
+        assert g_np == g
+        assert (n <= MASK_SCAN_MAX_N) == (n == 200)  # the ids name the scan that runs
+        pf = ProportionFunction.parse(p)
+        kept = run_strategy(g_np, pf, "random", seed=0).kept
+        assert kept == run_strategy(g, pf, "random", seed=0).kept
+
+    def test_numpy_order_keeps_the_tuple_orders_edges(self):
+        from hopcompress import gen_gnm
+
+        g = gen_gnm(200, 1000, 1)
+        pf = ProportionFunction.parse("1/2,1")
+        order = random_order(g, 0)
+        result = compress_basic(g, pf, np.array(order.edges))
+        assert result.kept == compress_basic(g, pf, order).kept
+        assert verify(g, result.subgraph(), pf).ok
 
 
 class TestVerify:

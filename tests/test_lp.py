@@ -421,6 +421,28 @@ class TestKnownInstances:
         assert solution.objective == pytest.approx(1, abs=1e-9)
         assert solution.edge_values == {(0, 1): 1.0}
 
+    @pytest.mark.parametrize(
+        ("start", "col", "lower"),
+        [
+            ([0, 1, 2], [0, 2], [1, 1]),  # a column index past n
+            ([0, 2, 1, 3], [0, 1, 0], [1, 1, 1]),  # a row starting before the last
+            ([0, 3, 3], [0, 1], [1, 1]),  # a row starting past the entries
+            ([0, 1, 2], [0, 1], [1, np.nan]),  # a NaN bound
+            ([0, 2, 2], [0, 0], [1, 0]),  # one column twice in a row
+        ],
+        ids=["column", "decreasing-start", "start-past-entries", "nan-bound", "repeated-column"],
+    )
+    def test_malformed_rows_are_rejected_by_highs(self, start, col, lower):
+        rows = _Rows(
+            start=np.array(start, dtype=np.int32),
+            col=np.array(col, dtype=np.int32),
+            coeff=np.ones(len(col)),
+            lower=np.array(lower, dtype=float),
+            upper=np.full(len(lower), np.inf),
+        )
+        with pytest.raises(RuntimeError, match="^HiGHS rejected the LP model$"):
+            _highs_solve(np.ones(2), rows)
+
     def test_crash_start_rejects_infeasible_point(self):
         # all-at-upper violates the <= row, so the model is malformed
         row = LpRow(coeffs=((0, 1.0), (1, 1.0)), sense="<=", rhs=1.0, tag="cap")
