@@ -8,6 +8,7 @@ violations.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -18,7 +19,7 @@ from pathlib import Path
 from typing import Callable, TextIO
 
 from .compress import ProportionFunction, verify
-from .datagen import BUILTIN_NAMES, FamilySpec, builtin, gen_gnm
+from .datagen import BUILTIN_NAMES, FamilySpec, builtin, gnm_pairs
 from .errors import EdgeListFormatError, HopCompressError
 from .evaluate import bench_orderings, compression_ratio, sp_histogram, stretch_check
 from .graph import Graph, canonical_edge, load_edge_list, write_edge_list
@@ -137,10 +138,9 @@ def cmd_compress(args) -> int:
     gc = Graph.from_edges(g.n, result.kept, labels=g.labels)
     report = verify(g, gc, pf)
     if not report.ok:
-        print(
-            f"internal error: output fails verification ({report.violations[0]})",
-            file=sys.stderr,
-        )
+        first = report.violations[0]
+        first = dataclasses.replace(first, vertex=(g.labels or range(g.n))[first.vertex])
+        print(f"internal error: output fails verification ({first})", file=sys.stderr)
         return EXIT_INTERNAL
 
     if args.output:
@@ -203,8 +203,8 @@ def cmd_gen(args) -> int:
     except OSError as exc:
         raise CliError(f"cannot create {outdir}: {exc}", EXIT_IO) from exc
     for i in range(spec.count):
-        g = gen_gnm(spec.n, spec.m, spec.seed + i)
-        _write(outdir / f"gnm_n{spec.n}_m{spec.m}_{i:03d}.txt", partial(write_edge_list, g))
+        lines = [f"{u} {v}\n" for u, v in gnm_pairs(spec.n, spec.m, spec.seed + i)]
+        _write(outdir / f"gnm_n{spec.n}_m{spec.m}_{i:03d}.txt", lambda handle: handle.writelines(lines))
     print(f"wrote {spec.count} instance(s) to {outdir}")
     return EXIT_OK
 

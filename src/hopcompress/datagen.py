@@ -7,7 +7,7 @@ import random
 from dataclasses import dataclass
 from importlib import resources
 
-from .graph import Graph, load_edge_list
+from .graph import Edge, Graph, load_edge_list
 
 BUILTIN_NAMES = ("diamond", "triangle", "path3", "star4", "zachary")
 
@@ -42,11 +42,11 @@ def _pair_from_index(n: int, k: int) -> tuple[int, int]:
     return u, k - u * (2 * n - u - 1) // 2 + u + 1
 
 
-def gen_gnm(n: int, m: int, seed: int) -> Graph:
-    """Uniform random simple graph with exactly ``n`` vertices, ``m`` edges.
+def gnm_pairs(n: int, m: int, seed: int) -> list[Edge]:
+    """The edges of :func:`gen_gnm`, as canonical pairs in ascending order.
 
     Samples ``m`` distinct pair indices out of the n(n-1)/2 possible
-    ones; deterministic for a fixed seed.
+    ones; deterministic for a fixed seed. Nothing is allocated per vertex.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -54,7 +54,12 @@ def gen_gnm(n: int, m: int, seed: int) -> Graph:
     if m > capacity:
         raise ValueError(f"m={m} exceeds the {capacity} possible edges for n={n}")
     picks = random.Random(seed).sample(range(capacity), m)
-    return Graph.from_edges(n, (_pair_from_index(n, k) for k in picks))
+    return [_pair_from_index(n, k) for k in sorted(picks)]
+
+
+def gen_gnm(n: int, m: int, seed: int) -> Graph:
+    """Uniform random simple graph with exactly ``n`` vertices, ``m`` edges."""
+    return Graph.from_edges(n, gnm_pairs(n, m, seed))
 
 
 def builtin(name: str) -> Graph:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
+import math
 import pathlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
@@ -56,18 +57,43 @@ class LpModel:
 
     Variable k < len(edges) is x for ``edges[k]``; the remaining
     variables are the flattened path variables, grouped per edge in
-    ``paths`` order. ``witness_at_upper`` lists variables that are 1 in
-    the always-feasible point (every edge kept, flow on direct paths).
+    ``paths`` order. The rows are stored in the row-wise form HiGHS
+    takes: row i holds the entries ``start[i]:start[i + 1]`` of ``col``
+    and ``coeff``, lies in ``[lower[i], upper[i]]`` and has kind
+    ``tags[i]``. ``witness_at_upper`` lists variables that are 1 in the
+    always-feasible point (every edge kept, flow on direct paths).
     """
 
     edges: tuple[Edge, ...]
     paths: tuple[tuple[Path, ...], ...]
-    rows: tuple[LpRow, ...]
+    start: tuple[int, ...]
+    col: tuple[int, ...]
+    coeff: tuple[float, ...]
+    lower: tuple[float, ...]
+    upper: tuple[float, ...]
+    tags: tuple[str, ...]
     witness_at_upper: tuple[int, ...]
 
     @property
     def num_vars(self) -> int:
         return len(self.edges) + sum(len(p) for p in self.paths)
+
+    @property
+    def rows(self) -> tuple[LpRow, ...]:
+        """The rows as records: ``<=`` the upper bound where the lower is
+        -inf, ``>=`` the lower bound otherwise. A row with two finite
+        bounds has no record and raises ValueError."""
+        rows = []
+        for i, tag in enumerate(self.tags):
+            if self.lower[i] == -math.inf:
+                sense, rhs = "<=", self.upper[i]
+            elif self.upper[i] == math.inf:
+                sense, rhs = ">=", self.lower[i]
+            else:
+                raise ValueError(f"row {i} has two finite bounds")
+            entries = slice(self.start[i], self.start[i + 1])
+            rows.append(LpRow(tuple(zip(self.col[entries], self.coeff[entries])), sense, rhs, tag))
+        return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -112,12 +138,12 @@ def build_lp(g: Graph, pf: ProportionFunction) -> LpModel:
 
     edges = tuple(g.edges())
     edge_index = {e: i for i, e in enumerate(edges)}
-    # each vertex's coverage coefficients per level; none for an isolated one
+    # each vertex's coverage variables per level; none for an isolated one
     coverage = {u: [[] for _ in levels] for u, row in enumerate(g.adjacency) if row}
 
     paths: list[tuple[Path, ...]] = []
-    rows: list[LpRow] = []  # the path-needs-edge rows, then the rest
-    one_route: list[LpRow] = []
+    col: list[int] = []  # f, x of each path-needs-edge row f - x <= 0
+    route_start: list[int] = []  # each edge's first path variable
     witness = list(range(len(edges)))
     fvar = len(edges)  # the next path variable
     entries = 0
@@ -126,50 +152,43 @@ def build_lp(g: Graph, pf: ProportionFunction) -> LpModel:
         if fvar + len(group) - len(edges) > MAX_PATH_VARS or entries > max_entries:
             raise SizeLimitError(too_big)
         paths.append(tuple(group))
-        first = fvar
+        route_start.append(fvar)
         for path in group:
             for a, b in zip(path, path[1:]):
-                xvar = edge_index[(a, b) if a < b else (b, a)]
-                rows.append(
-                    LpRow(
-                        coeffs=((fvar, 1.0), (xvar, -1.0)),
-                        sense="<=",
-                        rhs=0.0,
-                        tag="path-needs-edge",
-                    )
-                )
+                col += fvar, edge_index[(a, b) if a < b else (b, a)]
             if len(path) == 2:  # the direct edge path
                 witness.append(fvar)
             for level, at_u, at_v in zip(levels, coverage[u], coverage[v]):
                 if len(path) - 1 <= level:
-                    at_u.append((fvar, 1.0))
-                    at_v.append((fvar, 1.0))
+                    at_u.append(fvar)
+                    at_v.append(fvar)
             fvar += 1
-        one_route.append(
-            LpRow(
-                coeffs=tuple((f, 1.0) for f in range(first, fvar)),
-                sense="<=",
-                rhs=1.0,
-                tag="one-route-per-edge",
-            )
-        )
-    rows += one_route
+
+    needs = len(col) // 2  # path-needs-edge rows
+    # one-route-per-edge rows, sum f <= 1: each edge's path variables are
+    # consecutive, so together the rows hold every path variable once
+    start = [*range(0, len(col), 2), *(len(col) + f - len(edges) for f in route_start)]
+    col += range(len(edges), fvar)
+    # coverage rows, sum f >= p(level) * degree
+    demand: list[float] = []
     for u, per_level in coverage.items():
         degree = len(g.adjacency[u])
-        for level, coeffs in zip(levels, per_level):
-            rows.append(
-                LpRow(
-                    coeffs=tuple(coeffs),
-                    sense=">=",
-                    rhs=float(pf.at(level) * degree),
-                    tag="coverage",
-                )
-            )
+        for level, fs in zip(levels, per_level):
+            start.append(len(col))
+            col += fs
+            demand.append(float(pf.at(level) * degree))
+    start.append(len(col))
 
     return LpModel(
         edges=edges,
         paths=tuple(paths),
-        rows=tuple(rows),
+        start=tuple(start),
+        col=tuple(col),
+        coeff=(1.0, -1.0) * needs + (1.0,) * (len(col) - 2 * needs),
+        lower=(-math.inf,) * (needs + len(edges)) + tuple(demand),
+        upper=(0.0,) * needs + (1.0,) * len(edges) + (math.inf,) * len(demand),
+        tags=("path-needs-edge",) * needs + ("one-route-per-edge",) * len(edges)
+        + ("coverage",) * len(demand),
         witness_at_upper=tuple(witness),
     )
 
@@ -179,8 +198,8 @@ def solve_lp(model: LpModel) -> LpSolution:
 
     The solver options are fixed (one thread, no presolve, serial dual
     simplex, a fixed random seed), so one model always gives the same
-    answer. A model whose witness point breaks a row, or with a row
-    sense other than ``<=`` or ``>=``, raises ValueError. An optimal
+    answer. A model whose witness point breaks a row raises ValueError.
+    An optimal
     answer is re-checked against every row within 1e-7, and a broken
     row raises :class:`SizeLimitError`, as does any HiGHS status other
     than optimal. A model without variables (an edgeless graph) is
@@ -194,7 +213,13 @@ def solve_lp(model: LpModel) -> LpSolution:
     import numpy as np
 
     n = model.num_vars
-    rows = _rowwise(model)
+    rows = _Rows(
+        start=np.array(model.start, dtype=np.int32),
+        col=np.array(model.col, dtype=np.int32),
+        coeff=np.array(model.coeff),
+        lower=np.array(model.lower),
+        upper=np.array(model.upper),
+    )
 
     witness = np.zeros(n)
     witness[list(model.witness_at_upper)] = 1.0
@@ -232,32 +257,6 @@ class _Rows(NamedTuple):
     coeff: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-
-
-def _rowwise(model: LpModel) -> _Rows:
-    """Every row of ``model``, in model order, as HiGHS is given them.
-
-    A sense other than ``<=`` or ``>=`` raises ValueError.
-    """
-    import numpy as np
-
-    start, col, coeff = [0], [], []
-    for r in model.rows:
-        if r.sense not in ("<=", ">="):
-            raise ValueError(f"unsupported sense {r.sense!r}; rows must be <= or >=")
-        for var, c in r.coeffs:
-            col.append(var)
-            coeff.append(c)
-        start.append(len(col))
-    rhs = np.array([r.rhs for r in model.rows], dtype=float)
-    at_most = np.array([r.sense == "<=" for r in model.rows], dtype=bool)
-    return _Rows(
-        start=np.array(start, dtype=np.int32),
-        col=np.array(col, dtype=np.int32),
-        coeff=np.array(coeff, dtype=float),
-        lower=np.where(at_most, -np.inf, rhs),
-        upper=np.where(at_most, rhs, np.inf),
-    )
 
 
 def _worst_row(rows: _Rows, x) -> tuple[int, float]:

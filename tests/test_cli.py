@@ -1,5 +1,7 @@
+import io
 import itertools
 import json
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from hopcompress import Graph, builtin, write_edge_list
+from hopcompress import Graph, builtin, gen_gnm, write_edge_list
 from hopcompress.cli import main
 from hopcompress.compress import VerificationReport, Violation
 
@@ -202,6 +204,18 @@ class TestCompress:
             "within 2 hop(s), needs at least 3)\n"
         )
 
+    def test_unsound_output_names_the_input_vertex(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "labelled.txt"
+        path.write_text("10 20\n20 30\n")
+        broken = VerificationReport(False, (Violation(vertex=0, level=1, required=Fraction(1), achieved=0),))
+        monkeypatch.setattr("hopcompress.cli.verify", lambda *args: broken)
+        assert main(["compress", str(path), "--p", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err == (
+            "internal error: output fails verification (vertex 10: 0 of its neighbors "
+            "within 1 hop(s), needs at least 1)\n"
+        )
+
 
 class TestVerify:
     def test_roundtrip_after_compress(self, zachary_file, tmp_path, capsys):
@@ -247,6 +261,28 @@ class TestGenAndEval:
         assert len(files) == 4
         for f in files:
             assert len(f.read_text().splitlines()) == 15
+
+    @pytest.mark.parametrize(
+        ("n", "m", "seed"), [(20, 60, 1000), (200, 1000, 3), (7, 21, 0), (0, 0, 0), (5, 0, 1)]
+    )
+    def test_gen_writes_the_edge_list_of_gen_gnm(self, n, m, seed, tmp_path):
+        assert main(["gen", str(tmp_path), "--n", str(n), "--m", str(m), "--seed", str(seed)]) == 0
+        expected = io.StringIO()
+        write_edge_list(gen_gnm(n, m, seed), expected)
+        assert (tmp_path / f"gnm_n{n}_m{m}_000.txt").read_text() == expected.getvalue()
+
+    def test_gen_allocates_nothing_per_vertex(self, tmp_path):
+        # near the most vertices whose n(n-1)/2 pairs random.sample can
+        # index (~4.29e9); one byte per vertex would be 4 GB
+        n = 4_000_000_000
+        tracemalloc.start()
+        try:
+            assert main(["gen", str(tmp_path), "--n", str(n), "--m", "3"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert len((tmp_path / f"gnm_n{n}_m3_000.txt").read_text().splitlines()) == 3
 
     def test_gen_rejects_overfull(self, tmp_path):
         assert main(["gen", str(tmp_path), "--n", "4", "--m", "10"]) == 1

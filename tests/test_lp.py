@@ -1,9 +1,11 @@
 import hashlib
 import itertools
+import math
 import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -108,13 +110,30 @@ def row_tags(model):
     return tags
 
 
+def row_arrays(rows):
+    """LpRow records as LpModel's row-wise fields, in record order."""
+    start, col, coeff = [0], [], []
+    for row in rows:
+        col += [var for var, _ in row.coeffs]
+        coeff += [c for _, c in row.coeffs]
+        start.append(len(col))
+    return dict(
+        start=tuple(start),
+        col=tuple(col),
+        coeff=tuple(coeff),
+        lower=tuple(-math.inf if row.sense == "<=" else row.rhs for row in rows),
+        upper=tuple(row.rhs if row.sense == "<=" else math.inf for row in rows),
+        tags=tuple(row.tag for row in rows),
+    )
+
+
 def edge_model(rows, witness_at_upper):
     """A hand-built model whose variables are all edge variables (cost 1)."""
     n = 1 + max(var for row in rows for var, _ in row.coeffs)
     return LpModel(
         edges=tuple((0, k + 1) for k in range(n)),
         paths=((),) * n,
-        rows=tuple(rows),
+        **row_arrays(rows),
         witness_at_upper=tuple(witness_at_upper),
     )
 
@@ -257,6 +276,24 @@ class TestBuildLp:
             lhs = sum(c for var, c in row.coeffs if var in at_upper)
             assert lhs <= row.rhs if row.sense == "<=" else lhs >= row.rhs, row
 
+    @settings(max_examples=30, deadline=None)
+    @given(g=small_graphs(), props=st.lists(st.sampled_from(["0", "1/3", "1/2", "1"]), min_size=1, max_size=3))
+    def test_rows_view_rebuilds_the_arrays(self, g, props):
+        model = build_lp(g, ProportionFunction.parse(",".join(sorted(props, key=Fraction))))
+        rows = model.rows
+        fields = ("start", "col", "coeff", "lower", "upper", "tags")
+        assert row_arrays(rows) == {field: getattr(model, field) for field in fields}
+        assert len(rows) == len(model.start) - 1
+        assert sum(len(row.coeffs) for row in rows) == len(model.col)
+
+    def test_row_with_two_finite_bounds_has_no_record(self):
+        model = LpModel(
+            edges=((0, 1),), paths=((),), start=(0, 1), col=(0,), coeff=(1.0,),
+            lower=(0.0,), upper=(1.0,), tags=("range",), witness_at_upper=(0,),
+        )
+        with pytest.raises(ValueError, match="^row 0 has two finite bounds$"):
+            model.rows
+
 
 class TestSolveLp:
     def test_single_edge_forced_to_one(self):
@@ -320,7 +357,7 @@ class TestSolveLp:
         model = LpModel(
             edges=((0, 1),),
             paths=(((0, 1),),),
-            rows=(LpRow(coeffs=((0, 1.0),), sense="<=", rhs=0.0, tag="broken"),),
+            **row_arrays([LpRow(coeffs=((0, 1.0),), sense="<=", rhs=0.0, tag="broken")]),
             witness_at_upper=(0, 1),
         )
         with pytest.raises(ValueError, match="violates row 0"):
@@ -370,11 +407,6 @@ class TestKnownInstances:
         assert x == pytest.approx([1, 1])
         assert objective == pytest.approx(-5)
 
-    def test_equality_rows(self):
-        model = edge_model([LpRow(coeffs=((0, 1.0), (1, 1.0)), sense="=", rhs=1.0, tag="eq")], [0])
-        with pytest.raises(ValueError, match="sense '='"):
-            solve_lp(model)
-
     def test_infeasible(self):
         # x <= 1 can never reach x >= 2
         with pytest.raises(SizeLimitError, match="kInfeasible .*use the ec or random ordering"):
@@ -415,7 +447,7 @@ class TestKnownInstances:
             LpRow(coeffs=((1, 1.0),), sense=">=", rhs=1.0, tag="coverage"),
         ]
         model = LpModel(
-            edges=((0, 1),), paths=(((0, 1),),), rows=tuple(rows), witness_at_upper=(0, 1)
+            edges=((0, 1),), paths=(((0, 1),),), **row_arrays(rows), witness_at_upper=(0, 1)
         )
         solution = solve_lp(model)
         assert solution.objective == pytest.approx(1, abs=1e-9)
@@ -543,6 +575,7 @@ class TestHighsLoading:
                 result = hopcompress.run_strategy(g, pf, strategy)
                 assert hopcompress.verify(g, result.subgraph(), pf).ok
             hopcompress.sp_histogram(g)
+            hopcompress.build_lp(g, pf).rows
             assert "numpy" not in sys.modules
             hopcompress.lp_order(g, pf)
             assert "numpy" in sys.modules
