@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -31,12 +30,11 @@ EXIT_IO = 2
 EXIT_INTERNAL = 3
 EXIT_VIOLATION = 4
 
-JOBS_ENV_VAR = "HOPCOMPRESS_JOBS"
-
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # invalid flags/values are configuration errors
+    def error(self, message):  # invalid flags/values: exit 1, as argparse's 2 is EXIT_IO
         self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_CONFIG)
 
 
@@ -94,11 +92,10 @@ def _parse_pf(text: str) -> ProportionFunction:
         raise CliError(f"invalid --p value {text!r}: {exc}", EXIT_CONFIG) from exc
 
 
-def _sa_params(args, seed: int) -> SaParams:
+def _sa_params(args) -> SaParams:
+    """The annealing schedule; ``run_strategy`` seeds it with ``--seed``."""
     try:
-        return SaParams(
-            iterations=args.sa_iters, t0=args.sa_t0, alpha=args.sa_alpha, seed=seed
-        )
+        return SaParams(iterations=args.sa_iters, t0=args.sa_t0, alpha=args.sa_alpha)
     except ValueError as exc:
         raise CliError(f"invalid SA parameters: {exc}", EXIT_CONFIG) from exc
 
@@ -113,27 +110,10 @@ def _write(path: str | Path, fill: Callable[[TextIO], object]) -> None:
         raise CliError(f"cannot write {path}: {exc}", EXIT_IO) from exc
 
 
-def _jobs(flag: int | None) -> int:
-    """``--jobs``, else ``$HOPCOMPRESS_JOBS``, else 1; a count below 1 from
-    either source is a configuration error that names the source."""
-    source, jobs = "--jobs", flag
-    if flag is None:
-        source, env = JOBS_ENV_VAR, os.environ.get(JOBS_ENV_VAR)
-        if not env:
-            return 1
-        digits = env.removeprefix("-")
-        if not (digits.isascii() and digits.isdigit()):  # int() also takes "1_0", "+2", " 2 "
-            raise CliError(f"bad {JOBS_ENV_VAR} value {env!r}", EXIT_CONFIG)
-        jobs = int(env)
-    if jobs < 1:
-        raise CliError(f"{source} must be >= 1, got {jobs}", EXIT_CONFIG)
-    return jobs
-
-
 def cmd_compress(args) -> int:
     pf = _parse_pf(args.p)
     g = _load_graph(args.input)
-    sa = _sa_params(args, args.seed)
+    sa = _sa_params(args)
     result = run_strategy(g, pf, args.ordering, seed=args.seed, sa_params=sa)
     gc = Graph.from_edges(g.n, result.kept, labels=g.labels)
     report = verify(g, gc, pf)
@@ -257,10 +237,9 @@ def cmd_bench(args) -> int:
     except ValueError as exc:
         raise CliError(f"invalid --family value {args.family!r}: {exc}", EXIT_CONFIG) from exc
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
-    sa = _sa_params(args, args.seed)
-    jobs = _jobs(args.jobs)
+    sa = _sa_params(args)
     try:
-        report = bench_orderings(family, pf, strategies, sa_params=sa, jobs=jobs)
+        report = bench_orderings(family, pf, strategies, sa_params=sa, jobs=args.jobs)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_CONFIG) from exc
     except RuntimeError as exc:
@@ -321,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--p", required=True)
     p_bench.add_argument("--strategies", default="basic,lp,ec,sa")
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--jobs", type=int, default=None, help=f"defaults to ${JOBS_ENV_VAR} or 1")
+    p_bench.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
     p_bench.add_argument("--report", help="write the JSON report here")
     _add_sa_flags(p_bench)
     p_bench.set_defaults(func=cmd_bench)

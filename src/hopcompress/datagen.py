@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from importlib import resources
 
@@ -22,14 +23,27 @@ class FamilySpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name, low in (("count", 1), ("n", 0), ("m", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}")
-        if self.m > self.n * (self.n - 1) // 2:
-            raise ValueError(f"m={self.m} exceeds capacity of n={self.n}")
+        if self.count < 1:
+            raise ValueError("count must be >= 1")
+        _pair_count(self.n, self.m)
 
     def describe(self) -> str:
         return f"G({self.n},{self.m}) x{self.count} seed={self.seed}"
+
+
+def _pair_count(n: int, m: int) -> int:
+    """G(n, m)'s n(n-1)/2 vertex pairs, after refusing n < 0, m < 0, m above
+    that count, and a count above ``sys.maxsize``: ``random.sample`` takes
+    the ``len()`` of their range, so n = 2**32 is the largest n."""
+    for name, value in (("n", n), ("m", m)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0")
+    capacity = n * (n - 1) // 2
+    if capacity > sys.maxsize:
+        raise ValueError(f"n={n} has {capacity} vertex pairs, more than {sys.maxsize}")
+    if m > capacity:
+        raise ValueError(f"m={m} exceeds capacity of n={n}")
+    return capacity
 
 
 def _pair_from_index(n: int, k: int) -> tuple[int, int]:
@@ -48,12 +62,7 @@ def gnm_pairs(n: int, m: int, seed: int) -> list[Edge]:
     Samples ``m`` distinct pair indices out of the n(n-1)/2 possible
     ones; deterministic for a fixed seed. Nothing is allocated per vertex.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    capacity = n * (n - 1) // 2
-    if m > capacity:
-        raise ValueError(f"m={m} exceeds the {capacity} possible edges for n={n}")
-    picks = random.Random(seed).sample(range(capacity), m)
+    picks = random.Random(seed).sample(range(_pair_count(n, m)), m)
     return [_pair_from_index(n, k) for k in sorted(picks)]
 
 

@@ -215,9 +215,11 @@ def bench_orderings(
     only mean a compressor bug. Trials are independent, so ``jobs > 1``
     fans them out across at most ``min(jobs, trials, cpu count)`` worker
     processes without changing any result; the process pool is imported
-    only then. An empty strategy list, or one that names a strategy
-    twice (aliases included), raises ValueError.
+    only then. ``jobs < 1``, an empty strategy list, or one that names a
+    strategy twice (aliases included) raises ValueError.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     strategies = [normalize_strategy(s) for s in strategies]
     if not strategies:
         raise ValueError("no strategy given")

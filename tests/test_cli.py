@@ -287,6 +287,13 @@ class TestGenAndEval:
     def test_gen_rejects_overfull(self, tmp_path):
         assert main(["gen", str(tmp_path), "--n", "4", "--m", "10"]) == 1
 
+    def test_gen_rejects_more_pairs_than_maxsize(self, tmp_path, capsys):
+        # n(n-1)/2 past sys.maxsize used to end in random.sample's OverflowError
+        assert main(["gen", str(tmp_path / "out"), "--n", "1000000000000", "--m", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: n=1000000000000 has ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(("n", "m", "field"), [("-1", "0", "n"), ("5", "-1", "m")])
     def test_gen_rejects_negative_size(self, n, m, field, tmp_path, capsys):
         assert main(["gen", str(tmp_path), "--n", n, "--m", m]) == 1
@@ -446,13 +453,6 @@ class TestBench:
         assert main(["bench", "--family", "5,-1,1", "--p", "1"]) == 1
         assert capsys.readouterr().err == "error: invalid --family value '5,-1,1': m must be >= 0\n"
 
-    def test_jobs_env_override(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("HOPCOMPRESS_JOBS", "2")
-        code = main(
-            ["bench", "--family", "6,8,2", "--p", "0,1", "--strategies", "basic"]
-        )
-        assert code == 0
-
     @pytest.mark.parametrize(
         "strategies, message",
         [
@@ -467,32 +467,17 @@ class TestBench:
         assert main(args) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
-    @pytest.mark.parametrize(
-        "flag, env, message",
-        [
-            (["--jobs", "-3"], None, "--jobs must be >= 1, got -3"),
-            (["--jobs", "0"], "2", "--jobs must be >= 1, got 0"),
-            ([], "0", "HOPCOMPRESS_JOBS must be >= 1, got 0"),
-            ([], "-1", "HOPCOMPRESS_JOBS must be >= 1, got -1"),
-            ([], "two", "bad HOPCOMPRESS_JOBS value 'two'"),
-            ([], "1_0", "bad HOPCOMPRESS_JOBS value '1_0'"),
-            ([], "+2", "bad HOPCOMPRESS_JOBS value '+2'"),
-            ([], " 2 ", "bad HOPCOMPRESS_JOBS value ' 2 '"),
-            ([], "\u0663", "bad HOPCOMPRESS_JOBS value '\u0663'"),
-        ],
-        ids=[
-            "flag", "flag-over-env", "env-zero", "env-negative", "env-text",
-            "env-underscore", "env-plus", "env-spaces", "env-arabic-indic",
-        ],
-    )
-    def test_jobs_below_one_are_config_errors(self, flag, env, message, monkeypatch, capsys):
-        if env is None:
-            monkeypatch.delenv("HOPCOMPRESS_JOBS", raising=False)
-        else:
-            monkeypatch.setenv("HOPCOMPRESS_JOBS", env)
-        args = ["bench", "--family", "6,8,2", "--p", "1", "--strategies", "basic", *flag]
+    @pytest.mark.parametrize("jobs", ["-3", "0"], ids=["flag", "flag-zero"])
+    def test_jobs_below_one_are_config_errors(self, jobs, capsys):
+        args = ["bench", "--family", "6,8,2", "--p", "1", "--strategies", "basic", "--jobs", jobs]
         assert main(args) == 1
-        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert capsys.readouterr() == ("", f"error: jobs must be >= 1, got {jobs}\n")
+
+    def test_family_with_more_pairs_than_maxsize(self, capsys):
+        assert main(["bench", "--family", "1000000000000,1,1", "--p", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid --family value '1000000000000,1,1': n=1000000000000 has ")
+        assert err.count("\n") == 1
 
 
 class TestEdgeCases:
@@ -583,6 +568,22 @@ class TestArgumentHandling:
 
     def test_missing_subcommand(self):
         assert main([]) == 1
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["compress", "zachary"], "hopcompress compress: error: the following arguments are required: --p"),
+            (
+                ["bench", "--family", "20,60,2", "--p", "1", "--jobs", "x"],
+                "hopcompress bench: error: argument --jobs: invalid int value: 'x'",
+            ),
+        ],
+        ids=["missing-p", "jobs-not-int"],
+    )
+    def test_usage_error_prints_its_reason(self, argv, reason, capsys):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: ") and err.splitlines()[-1] == reason
 
     def test_builtin_names_accepted(self, capsys):
         assert main(["compress", "zachary", "--p", "1"]) == 0
@@ -679,9 +680,11 @@ class TestDrawnArguments:
     @example(run=({"a": b"0 1", "b": b""}, ["compress", "@a", "--p", "1e-5000"]))
     # and so did the 4301-digit denominator of 4300 decimals
     @example(run=({"a": b"0 1", "b": b""}, ["compress", "triangle", "--p", "0." + "0" * 4299 + "1"]))
-    def test_exits_cleanly(self, run, tmp_path, monkeypatch, capsys):
+    # n(n-1)/2 past sys.maxsize once overflowed random.sample
+    @example(run=({}, ["gen", "@gen", "--n", "1000000000000", "--m", "1"]))
+    @example(run=({}, ["bench", "--family", "1000000000000,1,1", "--p", "1"]))
+    def test_exits_cleanly(self, run, tmp_path, capsys):
         # exit 3 would be an internal error; anything raised is a crash
-        monkeypatch.delenv("HOPCOMPRESS_JOBS", raising=False)
         files, argv = run
         (tmp_path / "dir").mkdir(exist_ok=True)
         for name, data in files.items():

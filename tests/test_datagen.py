@@ -1,12 +1,13 @@
 import math
 import random
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
 import pytest
 
 from hopcompress import FamilySpec, builtin, gen_gnm
-from hopcompress.datagen import _pair_from_index
+from hopcompress.datagen import _pair_from_index, gnm_pairs
 
 
 class TestGenGnm:
@@ -25,6 +26,25 @@ class TestGenGnm:
     def test_capacity_guard(self):
         with pytest.raises(ValueError, match="exceeds"):
             gen_gnm(4, 7, seed=0)
+
+    def test_negative_m(self):
+        with pytest.raises(ValueError, match="^m must be >= 0$"):
+            gen_gnm(5, -1, 0)
+
+    def test_largest_n_draws_without_per_vertex_memory(self):
+        # n = 2**32 has 2**63 - 2**31 pairs, the most under sys.maxsize
+        tracemalloc.start()
+        try:
+            pairs = gnm_pairs(2**32, 1, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(pairs) == 1 and peak < 100_000
+
+    def test_more_pairs_than_maxsize_rejected(self):
+        n = 2**32 + 1
+        with pytest.raises(ValueError, match=f"^n={n} has {n * (n - 1) // 2} vertex pairs, more than "):
+            gnm_pairs(n, 1, 0)
 
     def test_deterministic_per_seed(self):
         assert gen_gnm(12, 30, 5).edge_set() == gen_gnm(12, 30, 5).edge_set()
@@ -74,6 +94,14 @@ class TestFamilySpec:
     def test_rejects_negative_size(self, n, m, field):
         with pytest.raises(ValueError, match=f"^{field} must be >= 0$"):
             FamilySpec(count=1, n=n, m=m)
+
+    @pytest.mark.parametrize(("n", "m"), [(-1, 0), (5, -1), (4, 7), (2**32 + 1, 1)])
+    def test_same_message_as_gnm_pairs(self, n, m):
+        with pytest.raises(ValueError) as family:
+            FamilySpec(count=1, n=n, m=m)
+        with pytest.raises(ValueError) as pairs:
+            gnm_pairs(n, m, 0)
+        assert str(family.value) == str(pairs.value)
 
     def test_describe(self):
         assert FamilySpec(count=30, n=20, m=60, seed=1).describe() == "G(20,60) x30 seed=1"

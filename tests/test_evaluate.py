@@ -252,7 +252,6 @@ class TestBench:
             (100_000, 30, 4, 4),
             (100_000, 5, None, None),
             (5, 1, 8, None),
-            (0, 3, 8, None),
         ],
     )
     def test_worker_count_is_bounded(self, monkeypatch, jobs, count, cpus, workers):
@@ -281,6 +280,12 @@ class TestBench:
         assert started == ([] if workers is None else [workers])
         serial = bench_orderings(family, pf, ["basic", "ec"], jobs=1)
         assert [s.mean_kept for s in report.stats] == [s.mean_kept for s in serial.stats]
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, jobs):
+        family = FamilySpec(count=3, n=7, m=9, seed=2)
+        with pytest.raises(ValueError, match=f"^jobs must be >= 1, got {jobs}$"):
+            bench_orderings(family, ProportionFunction.parse("0,1/2"), ["basic"], jobs=jobs)
 
     def test_sa_paired_with_basic_start(self):
         # sa shares the trial seed with basic-random, so it can never
