@@ -43,7 +43,6 @@ from .graph import (
 )
 from .lp import LpModel, LpSolution, build_lp, dump_lp, solve_lp
 from .orderings import (
-    EdgeOrdering,
     SaParams,
     ec_order,
     ec_scores,
@@ -61,7 +60,6 @@ __all__ = [
     "BenchReport",
     "CompressionResult",
     "EdgeListFormatError",
-    "EdgeOrdering",
     "FamilySpec",
     "Graph",
     "HopCompressError",

@@ -85,6 +85,26 @@ def _load_onto(g: Graph, path: str) -> Graph:
     return Graph.from_edges(g.n, edges, labels=g.labels)
 
 
+def _integer(text: str) -> int:
+    """An integer option's value: ASCII digits after an optional ``-``.
+    ``int()`` alone also takes ``+2``, ``1_0``, `` 1`` and non-ASCII digits."""
+    digits = text.removeprefix("-")
+    try:
+        if digits.isdigit() and digits.isascii():
+            return int(text)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
+def _family(text: str) -> list[int]:
+    """``--family N,M,COUNT`` as three :func:`_integer` fields."""
+    fields = text.split(",")
+    if len(fields) != 3:
+        raise argparse.ArgumentTypeError(f"expected N,M,COUNT, got {text!r}")
+    return [_integer(field) for field in fields]
+
+
 def _parse_pf(text: str) -> ProportionFunction:
     try:
         return ProportionFunction.parse(text)
@@ -231,11 +251,11 @@ def cmd_eval(args) -> int:
 
 def cmd_bench(args) -> int:
     pf = _parse_pf(args.p)
+    n, m, count = args.family
     try:
-        n, m, count = (int(part) for part in args.family.split(","))
         family = FamilySpec(count=count, n=n, m=m, seed=args.seed)
     except ValueError as exc:
-        raise CliError(f"invalid --family value {args.family!r}: {exc}", EXIT_CONFIG) from exc
+        raise CliError(f"invalid --family value '{n},{m},{count}': {exc}", EXIT_CONFIG) from exc
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     sa = _sa_params(args)
     try:
@@ -259,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compress.add_argument("input", help="edge-list file or builtin name")
     p_compress.add_argument("--p", required=True, help='proportions, e.g. "0.5,1" or "1/2,1"')
     p_compress.add_argument("--ordering", default="random", choices=list(STRATEGIES))
-    p_compress.add_argument("--seed", type=int, default=0)
+    p_compress.add_argument("--seed", type=_integer, default=0)
     p_compress.add_argument("-o", "--output", help="write the kept edge list here")
     p_compress.add_argument("--report", help="write the JSON run report here")
     _add_sa_flags(p_compress)
@@ -273,10 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate random instances")
     p_gen.add_argument("outdir")
-    p_gen.add_argument("--n", type=int, required=True)
-    p_gen.add_argument("--m", type=int, required=True)
-    p_gen.add_argument("--count", type=int, default=1)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--n", type=_integer, required=True)
+    p_gen.add_argument("--m", type=_integer, required=True)
+    p_gen.add_argument("--count", type=_integer, default=1)
+    p_gen.add_argument("--seed", type=_integer, default=0)
     p_gen.set_defaults(func=cmd_gen)
 
     p_eval = sub.add_parser("eval", help="graph metrics")
@@ -288,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stretch = eval_sub.add_parser("stretch", help="removed-edge detour check")
     p_stretch.add_argument("graph")
     p_stretch.add_argument("compressed")
-    p_stretch.add_argument("--t", type=int, required=True)
+    p_stretch.add_argument("--t", type=_integer, required=True)
     p_stretch.set_defaults(func=cmd_eval)
     p_ratio = eval_sub.add_parser("ratio", help="deleted-edge fraction")
     p_ratio.add_argument("graph")
@@ -296,11 +316,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_ratio.set_defaults(func=cmd_eval)
 
     p_bench = sub.add_parser("bench", help="compare ordering strategies")
-    p_bench.add_argument("--family", required=True, help="N,M,COUNT")
+    p_bench.add_argument("--family", required=True, type=_family, help="N,M,COUNT")
     p_bench.add_argument("--p", required=True)
     p_bench.add_argument("--strategies", default="basic,lp,ec,sa")
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
+    p_bench.add_argument("--seed", type=_integer, default=0)
+    p_bench.add_argument("--jobs", type=_integer, default=1, help="worker processes (default 1)")
     p_bench.add_argument("--report", help="write the JSON report here")
     _add_sa_flags(p_bench)
     p_bench.set_defaults(func=cmd_bench)
@@ -309,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_sa_flags(parser) -> None:
-    parser.add_argument("--sa-iters", type=int, default=1000)
+    parser.add_argument("--sa-iters", type=_integer, default=1000)
     parser.add_argument("--sa-t0", type=float, default=10.0)
     parser.add_argument("--sa-alpha", type=float, default=0.99)
 

@@ -122,9 +122,9 @@ class CompressionResult:
     kept: frozenset[Edge]
     n: int
     m: int
-    strategy: str
-    seed: int | None
     seconds: float
+    strategy: str = "custom"  # run_strategy stamps the strategy that ran
+    seed: int | None = None
     lp_iterations: int | None = None  # HiGHS simplex iterations behind an "lp" order
 
     def kept_count(self) -> int:
@@ -425,7 +425,7 @@ def _mask_scan(
     return flags
 
 
-def compress_basic(g: Graph, pf: ProportionFunction, order) -> CompressionResult:
+def compress_basic(g: Graph, pf: ProportionFunction, edges: Sequence[Edge]) -> CompressionResult:
     """Single incremental scan over the edges in the given order.
 
     Edges are replayed one by one into a growing reference graph; after
@@ -436,13 +436,9 @@ def compress_basic(g: Graph, pf: ProportionFunction, order) -> CompressionResult
     one hop), so the final kept set satisfies the constraints against the
     full graph under any ordering.
 
-    ``order`` is an :class:`~hopcompress.orderings.EdgeOrdering` or a
-    plain edge sequence; it must be a permutation of the edge set.
+    ``edges`` must be a permutation of the edge set. The result keeps
+    :class:`CompressionResult`'s defaults: strategy ``"custom"``, no seed.
     """
-    strategy = getattr(order, "strategy", "custom")
-    seed = getattr(order, "seed", None)
-    lp_iterations = getattr(order, "lp_iterations", None)
-    edges: Sequence[Edge] = getattr(order, "edges", order)
     _validate_ordering(g, edges)
 
     start = time.perf_counter()
@@ -453,16 +449,7 @@ def compress_basic(g: Graph, pf: ProportionFunction, order) -> CompressionResult
         for e, keep in zip(edges, flags)
         if keep
     )
-    seconds = time.perf_counter() - start
-    return CompressionResult(
-        kept=kept,
-        n=g.n,
-        m=g.m,
-        strategy=strategy,
-        seed=seed,
-        seconds=seconds,
-        lp_iterations=lp_iterations,
-    )
+    return CompressionResult(kept=kept, n=g.n, m=g.m, seconds=time.perf_counter() - start)
 
 
 def require_subgraph(g: Graph, gc: Graph) -> None:

@@ -17,6 +17,7 @@ from .graph import Graph
 from .orderings import SaParams, normalize_strategy, run_strategy
 
 BRUTE_FORCE_EDGE_LIMIT = 20
+BENCH_MAX_N = 10**6  # each vertex costs ~140 bytes: one edge at this n took ~4 s, ~150 MB
 
 
 def compression_ratio(g: Graph, gc: Graph) -> Fraction:
@@ -215,11 +216,13 @@ def bench_orderings(
     only mean a compressor bug. Trials are independent, so ``jobs > 1``
     fans them out across at most ``min(jobs, trials, cpu count)`` worker
     processes without changing any result; the process pool is imported
-    only then. ``jobs < 1``, an empty strategy list, or one that names a
-    strategy twice (aliases included) raises ValueError.
+    only then. ``jobs < 1``, n above :data:`BENCH_MAX_N`, an empty strategy
+    list, or one naming a strategy twice (aliases included) raises ValueError.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if family.n > BENCH_MAX_N:
+        raise ValueError(f"n={family.n} exceeds the bench guard of {BENCH_MAX_N} vertices")
     strategies = [normalize_strategy(s) for s in strategies]
     if not strategies:
         raise ValueError("no strategy given")

@@ -39,16 +39,6 @@ def normalize_strategy(name: str) -> str:
 
 
 @dataclass(frozen=True)
-class EdgeOrdering:
-    """A permutation of a graph's edge set, tagged with its provenance."""
-
-    edges: tuple[Edge, ...]
-    strategy: str
-    seed: int | None = None
-    lp_iterations: int | None = None  # HiGHS simplex iterations behind an "lp" ordering
-
-
-@dataclass(frozen=True)
 class SaParams:
     """Annealing schedule: ``iterations`` swap trials starting at
     temperature ``t0``, cooled geometrically by ``alpha`` each trial."""
@@ -67,11 +57,11 @@ class SaParams:
             raise ValueError("alpha must be in (0, 1)")
 
 
-def random_order(g: Graph, seed: int) -> EdgeOrdering:
+def random_order(g: Graph, seed: int) -> tuple[Edge, ...]:
     """Uniformly random edge permutation (seeded Fisher-Yates shuffle)."""
     edges = list(g.edges())
     random.Random(seed).shuffle(edges)
-    return EdgeOrdering(edges=tuple(edges), strategy="random", seed=seed)
+    return tuple(edges)
 
 
 def ec_scores(g: Graph, t: int) -> dict[Edge, int]:
@@ -130,12 +120,12 @@ def _descending(scores: dict[Edge, float]) -> tuple[Edge, ...]:
     return tuple(sorted(sorted(scores), key=scores.__getitem__, reverse=True))
 
 
-def ec_order(g: Graph, t: int) -> EdgeOrdering:
+def ec_order(g: Graph, t: int) -> tuple[Edge, ...]:
     """Edges sorted by descending connectivity score, ties by canonical id."""
-    return EdgeOrdering(edges=_descending(ec_scores(g, t)), strategy="ec", seed=None)
+    return _descending(ec_scores(g, t))
 
 
-def lp_order(g: Graph, pf: ProportionFunction) -> EdgeOrdering:
+def lp_order(g: Graph, pf: ProportionFunction) -> tuple[Edge, ...]:
     """Edges sorted by descending relaxation score, ties by canonical id.
 
     Scores are the snapped ``edge_values`` of :func:`~hopcompress.lp.solve_lp`:
@@ -145,16 +135,10 @@ def lp_order(g: Graph, pf: ProportionFunction) -> EdgeOrdering:
     of :func:`~hopcompress.lp.build_lp`, when HiGHS ends in a status other
     than optimal, or when its answer breaks a row.
     """
-    solution = solve_lp(build_lp(g, pf))
-    return EdgeOrdering(
-        edges=_descending(solution.edge_values),
-        strategy="lp",
-        seed=None,
-        lp_iterations=solution.iterations,
-    )
+    return _descending(solve_lp(build_lp(g, pf)).edge_values)
 
 
-def sa_order(g: Graph, pf: ProportionFunction, params: SaParams) -> EdgeOrdering:
+def sa_order(g: Graph, pf: ProportionFunction, params: SaParams) -> tuple[Edge, ...]:
     """The best order a simulated-annealing search over the ordering space finds.
 
     The initial state equals ``random_order(g, params.seed)``; the swap
@@ -210,7 +194,7 @@ def sa_order(g: Graph, pf: ProportionFunction, params: SaParams) -> EdgeOrdering
                 cost_current = cost
         temperature *= params.alpha
 
-    return EdgeOrdering(edges=tuple(best), strategy="sa", seed=params.seed)
+    return tuple(best)
 
 
 def sa_compress(g: Graph, pf: ProportionFunction, params: SaParams) -> CompressionResult:
@@ -232,18 +216,25 @@ def run_strategy(
 
     ``seed`` drives the random order and the annealing stream (it
     overrides ``sa_params.seed`` so paired trials share their start).
+    The result records the strategy (``"random"`` for ``basic-random``),
+    the seed (``None`` for lp and ec) and lp's simplex iterations.
     """
     strategy = normalize_strategy(strategy)
     if strategy == "lp":
         _highs_core()  # loads numpy with it
     start = time.perf_counter()
+    lp_iterations = None
     if strategy == "sa":
         order = sa_order(g, pf, dataclasses.replace(sa_params or SaParams(), seed=seed))
     elif strategy == "lp":
-        order = lp_order(g, pf)
+        solution = solve_lp(build_lp(g, pf))
+        order, lp_iterations, seed = _descending(solution.edge_values), solution.iterations, None
     elif strategy == "ec":
-        order = ec_order(g, pf.t)
+        order, seed = ec_order(g, pf.t), None
     else:
-        order = random_order(g, seed)
+        strategy, order = "random", random_order(g, seed)
     result = compress_basic(g, pf, order)
-    return dataclasses.replace(result, seconds=time.perf_counter() - start)
+    seconds = time.perf_counter() - start
+    return dataclasses.replace(
+        result, strategy=strategy, seed=seed, lp_iterations=lp_iterations, seconds=seconds
+    )

@@ -479,6 +479,21 @@ class TestBench:
         assert err.startswith("error: invalid --family value '1000000000000,1,1': n=1000000000000 has ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("n", ["1000001", "4294967296"])
+    def test_family_past_the_vertex_guard(self, n, monkeypatch, capsys):
+        # n = 2**32 passes the (n, m) check; its instances would need hundreds of GB
+        def no_instance(*args):
+            raise AssertionError("an instance was built")
+
+        monkeypatch.setattr("hopcompress.evaluate.gen_gnm", no_instance)
+        assert main(["bench", "--family", f"{n},1,1", "--p", "0,1/2", "--strategies", "basic"]) == 1
+        message = f"error: n={n} exceeds the bench guard of 1000000 vertices\n"
+        assert capsys.readouterr() == ("", message)
+        assert main(["bench", "--family", "4294967297,1,1", "--p", "0,1/2"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: invalid --family value '4294967297,1,1': n=4294967297 has "
+        )
+
 
 class TestEdgeCases:
     @pytest.fixture(params=["", "# comments only\n\n# no edges\n"], ids=["empty", "comments-only"])
@@ -585,6 +600,41 @@ class TestArgumentHandling:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("usage: ") and err.splitlines()[-1] == reason
 
+    @pytest.mark.parametrize(
+        "argv, option, value",
+        [
+            (["compress", "triangle", "--p", "1", "--seed", " 3"], "--seed", " 3"),
+            (["compress", "triangle", "--p", "1", "--sa-iters", "1_0"], "--sa-iters", "1_0"),
+            (["gen", "@gen", "--n", "\u0663", "--m", "1"], "--n", "\u0663"),
+            (["gen", "@gen", "--n", "3", "--m", "+1"], "--m", "+1"),
+            (["gen", "@gen", "--n", "3", "--m", "1", "--count", "1_0"], "--count", "1_0"),
+            (["gen", "@gen", "--n", "3", "--m", "1", "--seed", "+2"], "--seed", "+2"),
+            (["eval", "stretch", "triangle", "triangle", "--t", "1_0"], "--t", "1_0"),
+            (["bench", "--family", "1_0,2,1", "--p", "1"], "--family", "1_0"),
+            (["bench", "--family", "10,+2,1", "--p", "1"], "--family", "+2"),
+            (["bench", "--family", "10,2, 1", "--p", "1"], "--family", " 1"),
+            (["bench", "--family", "10,2,1", "--p", "1", "--seed", "\u0661"], "--seed", "\u0661"),
+            (["bench", "--family", "10,2,1", "--p", "1", "--jobs", "1_0"], "--jobs", "1_0"),
+        ],
+        ids=["compress-seed", "sa-iters", "gen-n", "gen-m", "gen-count", "gen-seed", "stretch-t",
+             "family-n", "family-m", "family-count", "bench-seed", "jobs"],
+    )
+    def test_integer_options_take_ascii_digits_only(self, argv, option, value, tmp_path, capsys):
+        argv = [str(tmp_path / arg[1:]) if arg.startswith("@") else arg for arg in argv]
+        prog = " ".join(["hopcompress", *argv[: 2 if argv[0] == "eval" else 1]])
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: ")
+        reason = f"{prog}: error: argument {option}: invalid int value: {value!r}"
+        assert err.splitlines()[-1] == reason
+        assert not (tmp_path / "gen").exists()
+
+    def test_family_needs_three_fields(self, capsys):
+        assert main(["bench", "--family", "8,12", "--p", "1"]) == 1
+        err = capsys.readouterr().err
+        reason = "hopcompress bench: error: argument --family: expected N,M,COUNT, got '8,12'"
+        assert err.splitlines()[-1] == reason
+
     def test_builtin_names_accepted(self, capsys):
         assert main(["compress", "zachary", "--p", "1"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -683,6 +733,10 @@ class TestDrawnArguments:
     # n(n-1)/2 past sys.maxsize once overflowed random.sample
     @example(run=({}, ["gen", "@gen", "--n", "1000000000000", "--m", "1"]))
     @example(run=({}, ["bench", "--family", "1000000000000,1,1", "--p", "1"]))
+    # int() took these spellings, and n = 2**32 passed the (n, m) check
+    @example(run=({}, ["bench", "--family", "1_0,+2, 1", "--p", "1", "--jobs", "1_0"]))
+    @example(run=({}, ["gen", "@gen", "--n", "\u0663", "--m", "1"]))
+    @example(run=({}, ["bench", "--family", "1000001,1,1", "--p", "1", "--strategies", "basic"]))
     def test_exits_cleanly(self, run, tmp_path, capsys):
         # exit 3 would be an internal error; anything raised is a crash
         files, argv = run

@@ -81,7 +81,7 @@ def verify_cases(draw):
 def scan_cases(draw):
     """A graph, an order of its edges (either orientation) and a p function."""
     g = draw(small_graphs(max_n=10))
-    shuffled = random_order(g, draw(st.integers(0, 2**16))).edges
+    shuffled = random_order(g, draw(st.integers(0, 2**16)))
     order = [e if draw(st.booleans()) else e[::-1] for e in shuffled]
     pf = draw(st.one_of(st.sampled_from(EDGE_CASE_PROPORTIONS), proportion_functions()))
     return g, order, pf
@@ -270,8 +270,7 @@ class TestCompressBasic:
     def test_records_metadata(self, triangle):
         pf = ProportionFunction.parse("1")
         result = compress_basic(triangle, pf, random_order(triangle, 3))
-        assert result.strategy == "random"
-        assert result.seed == 3
+        assert (result.strategy, result.seed, result.lp_iterations) == ("custom", None, None)
         assert result.n == 3 and result.m == 3
         assert result.seconds >= 0
 
@@ -289,7 +288,7 @@ class TestCompressBasic:
     @given(g=small_graphs(), pf=proportion_functions(), seed=..., data=st.data())
     def test_kept_set_follows_a_vertex_relabeling(self, g, pf, seed: int, data):
         label = data.draw(st.permutations(range(g.n)))
-        order = random_order(g, seed).edges
+        order = random_order(g, seed)
         relabeled = Graph.from_edges(g.n, [(label[u], label[v]) for u, v in g.edges()])
         moved = compress_basic(relabeled, pf, [(label[u], label[v]) for u, v in order]).kept
         kept = compress_basic(g, pf, order).kept
@@ -346,7 +345,7 @@ class TestScan:
             # dense G(n, m) plus a hub, so every shortcut and the BFS fallback run
             base = gen_gnm(16, 45, seed)
             g = Graph.from_edges(17, list(base.edges()) + [(16, v) for v in range(0, 16, 2)])
-            order = list(random_order(g, seed).edges)
+            order = list(random_order(g, seed))
             expected = reference_scan(g.n, order, pf)
             for scan in self.SCANS:
                 assert scan(g.n, order, pf) == expected, scan.__name__
@@ -358,7 +357,7 @@ class TestScan:
 
         pf = ProportionFunction.parse("0,1,1")
         g = gen_gnm(12, 30, 0)
-        order = list(random_order(g, 0).edges)
+        order = list(random_order(g, 0))
         expected = reference_scan(g.n, order, pf)
         for scan, bfs in ((_list_scan, "_list_levels_ok"), (_mask_scan, "_mask_levels_ok")):
             calls = []
@@ -453,7 +452,7 @@ class TestNumpyIds:
         g = gen_gnm(200, 1000, 1)
         pf = ProportionFunction.parse("1/2,1")
         order = random_order(g, 0)
-        result = compress_basic(g, pf, np.array(order.edges))
+        result = compress_basic(g, pf, np.array(order))
         assert result.kept == compress_basic(g, pf, order).kept
         assert verify(g, result.subgraph(), pf).ok
 
@@ -517,7 +516,7 @@ class TestVerify:
             monkeypatch.setattr(compress_module, name, broken)
         for seed in range(4):
             g = gen_gnm(14, 30, seed)
-            order = list(random_order(g, seed).edges)
+            order = list(random_order(g, seed))
             gc = Graph.from_edges(g.n, order[::2])
             for pf in EDGE_CASE_PROPORTIONS:
                 assert list(verify(g, gc, pf).violations) == oracle_violations(g, gc, pf)
@@ -537,7 +536,7 @@ class TestVerify:
     @given(g=small_graphs(), pf=proportion_functions(), seed=...)
     def test_agrees_with_all_pairs_oracle(self, g, pf, seed: int):
         # arbitrary subgraph: drop every other edge of a shuffled order
-        edges = list(random_order(g, seed).edges)[::2]
+        edges = list(random_order(g, seed))[::2]
         gc = Graph.from_edges(g.n, edges)
         assert verify(g, gc, pf).ok == oracle_satisfies(g, gc, pf)
 
@@ -563,6 +562,6 @@ class TestVerify:
                 tuple(sorted(Fraction(rng.randint(0, 3), 3) for _ in range(t)))
             )
             keep_every = rng.randint(1, 3)
-            edges = list(random_order(g, trial).edges)[::keep_every]
+            edges = list(random_order(g, trial))[::keep_every]
             gc = Graph.from_edges(g.n, edges)
             assert verify(g, gc, pf).ok == oracle_satisfies(g, gc, pf)

@@ -30,6 +30,9 @@ from hopcompress import (
     verify,
 )
 
+import hopcompress.evaluate as evaluate_module
+from hopcompress.evaluate import BENCH_MAX_N
+
 from conftest import oracle_distances, small_graphs
 
 
@@ -179,7 +182,7 @@ class TestDistanceMonotonicity:
     def test_subgraph_distances_never_shrink(self, g, seed: int):
         from hopcompress import random_order
 
-        edges = list(random_order(g, seed).edges)[::2]
+        edges = list(random_order(g, seed))[::2]
         gc = Graph.from_edges(g.n, edges)
         for u in range(g.n):
             dg = oracle_distances(g, u)
@@ -316,6 +319,25 @@ class TestBench:
         family = FamilySpec(count=1, n=4, m=3, seed=0)
         with pytest.raises(ValueError, match=f"^{message}$"):
             bench_orderings(family, ProportionFunction.parse("1"), strategies)
+
+
+class TestBenchVertexGuard:
+    def test_refused_past_the_guard_before_any_instance(self, monkeypatch):
+        built = []
+
+        def tiny_instance(n, m, seed):
+            built.append(n)
+            return Graph.from_edges(2, [(0, 1)])
+
+        monkeypatch.setattr(evaluate_module, "gen_gnm", tiny_instance)
+        pf = ProportionFunction.parse("0,1/2")
+        over = FamilySpec(count=2, n=BENCH_MAX_N + 1, m=1)
+        message = rf"^n={BENCH_MAX_N + 1} exceeds the bench guard of {BENCH_MAX_N} vertices$"
+        with pytest.raises(ValueError, match=message):
+            bench_orderings(over, pf, ["basic"])
+        assert built == []
+        bench_orderings(FamilySpec(count=2, n=BENCH_MAX_N, m=1), pf, ["basic"])
+        assert built == [BENCH_MAX_N] * 2
 
 
 class TestStrategyRegistry:

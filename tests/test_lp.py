@@ -53,7 +53,7 @@ ZACHARY_LP_ORDER = (
 # family-g20 seed-0 instances gen_gnm(20, 60, seed) at p=0,1/2: the optimal
 # objective (float.hex) recorded from the hand-written simplex that HiGHS
 # replaced, which HiGHS must match within 1e-9; HiGHS's simplex iterations;
-# and the SHA-256 of repr(lp_order(...).edges) under HiGHS
+# and the SHA-256 of repr(lp_order(...)) under HiGHS
 FAMILY_LP_FINGERPRINTS = {
     1000: ("0x1.ba95222a51fd0p+3", 476, "58ba3e111a756540b2307a041d6e1d7263f64aff590f57d6e0a9fe30038b1dc7"),
     1001: ("0x1.9351fdfd86a34p+3", 472, "66403cb2f39b67f5b99194a7bb8f32f51d2e59bec5e0b55a0ea46f69c1a5b7e3"),
@@ -328,7 +328,7 @@ class TestSolveLp:
         pf = ProportionFunction.parse("1/2,1")
         solution = solve_lp(build_lp(builtin("zachary"), pf))
         assert solution.objective == pytest.approx(42.01373626373628, abs=1e-9)
-        assert lp_order(builtin("zachary"), pf).edges == ZACHARY_LP_ORDER
+        assert lp_order(builtin("zachary"), pf) == ZACHARY_LP_ORDER
 
     def test_iterations_kept(self, lp_iteration_limit):
         model = build_lp(builtin("zachary"), ProportionFunction.parse("1/2,1"))
@@ -341,7 +341,7 @@ class TestSolveLp:
     def test_family_fingerprints(self, seed):
         g, pf = gen_gnm(20, 60, seed), ProportionFunction.parse("0,1/2")
         solution = solve_lp(build_lp(g, pf))
-        digest = hashlib.sha256(repr(lp_order(g, pf).edges).encode()).hexdigest()
+        digest = hashlib.sha256(repr(lp_order(g, pf)).encode()).hexdigest()
         objective, iterations, expected_digest = FAMILY_LP_FINGERPRINTS[seed]
         assert solution.objective == pytest.approx(float.fromhex(objective), abs=1e-9)
         assert (solution.iterations, digest) == (iterations, expected_digest)
@@ -510,17 +510,16 @@ class TestAgainstScipy:
 class TestLpOrder:
     def test_single_edge(self):
         g = Graph.from_edges(2, [(0, 1)])
-        assert lp_order(g, ProportionFunction.parse("1")).edges == ((0, 1),)
+        assert lp_order(g, ProportionFunction.parse("1")) == ((0, 1),)
 
     def test_triangle_ties_canonical(self, triangle):
         order = lp_order(triangle, ProportionFunction.parse("1"))
-        assert order.edges == ((0, 1), (0, 2), (1, 2))
-        assert order.strategy == "lp"
+        assert order == ((0, 1), (0, 2), (1, 2))
 
     def test_is_permutation_and_compresses_soundly(self, diamond):
         pf = ProportionFunction.parse("1/2,1")
         order = lp_order(diamond, pf)
-        assert set(order.edges) == diamond.edge_set()
+        assert set(order) == diamond.edge_set()
         result = compress_basic(diamond, pf, order)
         assert verify(diamond, result.subgraph(), pf).ok
 
@@ -537,13 +536,13 @@ class TestLpOrder:
         # (0, 1) and (0, 2) tie on the grid; (1, 2) is less than 1e-9 above
         # (0, 1) but rounds to the next grid point, so it stays first
         order = lp_order(triangle, ProportionFunction.parse("0"))
-        assert order.edges == ((1, 2), (0, 1), (0, 2))
+        assert order == ((1, 2), (0, 1), (0, 2))
 
     def test_values_clipped_and_snapped(self):
         g, pf = gen_gnm(20, 60, 1001), ProportionFunction.parse("0,1/2")
         values = solve_lp(build_lp(g, pf)).edge_values
         assert all(0.0 <= v <= 1.0 and round(v, 9) == v for v in values.values())
-        assert lp_order(g, pf).edges == tuple(sorted(values, key=lambda e: (-values[e], e)))
+        assert lp_order(g, pf) == tuple(sorted(values, key=lambda e: (-values[e], e)))
 
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(hopcompress.__file__)))
@@ -653,7 +652,7 @@ class TestHighsLoading:
                 g = gen_gnm(20, 60, seed)
                 values = solve_lp(build_lp(g, pf)).edge_values
                 print(sorted((e, v.hex()) for e, v in values.items()))
-                print(lp_order(g, pf).edges)
+                print(lp_order(g, pf))
             """
         first, second = run_python(code), run_python(code)
         assert first.returncode == 0, first.stderr

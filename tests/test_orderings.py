@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import time
@@ -13,20 +14,25 @@ from hopcompress import (
     ProportionFunction,
     SaParams,
     SizeLimitError,
+    build_lp,
+    builtin,
     compress_basic,
     ec_order,
     ec_scores,
     gen_gnm,
     lp_order,
     random_order,
+    run_strategy,
     sa_compress,
     sa_order,
+    solve_lp,
     verify,
 )
 
 import hopcompress.graph as graph_module
 import hopcompress.orderings as orderings_module
 from hopcompress.graph import _simple_paths
+from hopcompress.orderings import STRATEGIES
 
 from conftest import proportion_functions, recursive_simple_paths, small_graphs
 
@@ -75,18 +81,17 @@ def oracle_sa(g, pf, params):
 class TestRandomOrder:
     def test_single_edge(self):
         g = Graph.from_edges(2, [(0, 1)])
-        assert random_order(g, 42).edges == ((0, 1),)
+        assert random_order(g, 42) == ((0, 1),)
 
     def test_deterministic_per_seed(self, diamond):
         assert random_order(diamond, 5) == random_order(diamond, 5)
 
     def test_is_permutation(self, diamond):
         order = random_order(diamond, 1)
-        assert set(order.edges) == diamond.edge_set()
-        assert order.strategy == "random" and order.seed == 1
+        assert set(order) == diamond.edge_set()
 
     def test_uniform_over_permutations(self, triangle):
-        counts = Counter(random_order(triangle, seed).edges for seed in range(1000))
+        counts = Counter(random_order(triangle, seed) for seed in range(1000))
         assert len(counts) == 6
         for count in counts.values():
             assert abs(count / 1000 - 1 / 6) <= 0.05
@@ -205,16 +210,16 @@ class TestEcScores:
 
 class TestEcOrder:
     def test_triangle_canonical_ties(self, triangle):
-        assert ec_order(triangle, 2).edges == ((0, 1), (0, 2), (1, 2))
+        assert ec_order(triangle, 2) == ((0, 1), (0, 2), (1, 2))
 
     def test_star_spokes_canonical(self):
         star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-        assert ec_order(star, 2).edges == ((0, 1), (0, 2), (0, 3))
+        assert ec_order(star, 2) == ((0, 1), (0, 2), (0, 3))
 
     def test_descending_scores(self, diamond):
         order = ec_order(diamond, 2)
         scores = ec_scores(diamond, 2)
-        ranked = [scores[e] for e in order.edges]
+        ranked = [scores[e] for e in order]
         assert ranked == sorted(ranked, reverse=True)
 
     def test_deterministic(self, diamond):
@@ -231,19 +236,51 @@ class TestOrderBuilders:
     @settings(max_examples=40, deadline=None)
     @given(g=small_graphs(), pf=proportion_functions(), seed=...)
     def test_every_order_is_a_permutation_of_the_edges(self, g, pf, seed: int):
-        orders = [random_order(g, seed), lp_order(g, pf)]
-        orders += [ec_order(g, t) for t in (1, 2, 3)]
-        orders.append(sa_order(g, pf, SaParams(iterations=20, seed=seed)))
-        for order in orders:
-            assert sorted(order.edges) == list(g.edges()), order.strategy
+        orders = {"random": random_order(g, seed), "lp": lp_order(g, pf)}
+        orders.update((f"ec-t{t}", ec_order(g, t)) for t in (1, 2, 3))
+        orders["sa"] = sa_order(g, pf, SaParams(iterations=20, seed=seed))
+        for name, order in orders.items():
+            assert type(order) is tuple, name
+            assert sorted(order) == list(g.edges()), name
 
     @settings(max_examples=25, deadline=None)
     @given(g=small_graphs(), pf=proportion_functions(), seed=...)
     def test_sa_best_order_replays(self, g, pf, seed: int):
         params = SaParams(iterations=20, seed=seed)
         order = sa_order(g, pf, params)
-        assert (order.strategy, order.seed) == ("sa", seed)
         assert compress_basic(g, pf, order).kept == sa_compress(g, pf, params).kept
+
+
+# SHA-256 of repr() of the (sorted kept, strategy, seed, lp_iterations)
+# records that run_strategy gives under every strategy name, with its
+# default seed and SA schedule, on zachary at p=1/2,1 and 0,1/2 and on
+# gen_gnm(20, 60, 1000) at 0,1/2
+RUN_RECORDS_DIGEST = "712a0f4a305784036f763223e0fd9636d90dbf62471d9bae07dca2a29d22ebf0"
+
+
+class TestRunStrategy:
+    def test_records_metadata(self, triangle):
+        pf = ProportionFunction.parse("1")
+        result = run_strategy(triangle, pf, "random", seed=3)
+        assert (result.strategy, result.seed, result.lp_iterations) == ("random", 3, None)
+        assert result.kept == compress_basic(triangle, pf, random_order(triangle, 3)).kept
+
+    def test_run_records_are_pinned(self):
+        zachary = builtin("zachary")
+        records = []
+        for g, p in ((zachary, "1/2,1"), (zachary, "0,1/2"), (gen_gnm(20, 60, 1000), "0,1/2")):
+            pf = ProportionFunction.parse(p)
+            for name in STRATEGIES:
+                result = run_strategy(g, pf, name)
+                kept = sorted(result.kept)
+                records.append((kept, result.strategy, result.seed, result.lp_iterations))
+        assert hashlib.sha256(repr(records).encode()).hexdigest() == RUN_RECORDS_DIGEST
+
+    def test_lp_iterations_are_the_solvers(self, diamond):
+        pf = ProportionFunction.parse("1/2,1")
+        result = run_strategy(diamond, pf, "lp")
+        assert result.lp_iterations == solve_lp(build_lp(diamond, pf)).iterations
+        assert result.kept == compress_basic(diamond, pf, lp_order(diamond, pf)).kept
 
 
 class TestSaCompress:
@@ -286,7 +323,7 @@ class TestSaCompress:
         final_orders = []
 
         def spy(g, pf, order):
-            final_orders.append(order.edges)
+            final_orders.append(order)
             return compress_basic(g, pf, order)
 
         monkeypatch.setattr(orderings_module, "compress_basic", spy)
@@ -315,7 +352,7 @@ class TestSaCompress:
         final_orders = []
 
         def spy(g, pf, order):
-            final_orders.append(order.edges)
+            final_orders.append(order)
             return compress_basic(g, pf, order)
 
         monkeypatch.setattr(orderings_module, "compress_basic", spy)
