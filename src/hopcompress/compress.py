@@ -108,11 +108,11 @@ class Violation:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    ok: bool
     violations: tuple[Violation, ...]
 
-    def __post_init__(self):
-        assert self.ok == (not self.violations)
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 @dataclass(frozen=True)
@@ -550,4 +550,4 @@ def verify(g: Graph, gc: Graph, pf: ProportionFunction) -> VerificationReport:
                     achieved=count,
                 )
             )
-    return VerificationReport(ok=not violations, violations=tuple(violations))
+    return VerificationReport(tuple(violations))

@@ -148,9 +148,12 @@ class BenchReport:
 
     dataset: str
     proportions: str
-    trials: int
     seeds: tuple[int, ...]
     stats: tuple[StrategyStats, ...]
+
+    @property
+    def trials(self) -> int:
+        return len(self.seeds)
 
     def to_json(self) -> str:
         payload = {
@@ -255,7 +258,6 @@ def bench_orderings(
     return BenchReport(
         dataset=family.describe(),
         proportions=str(pf),
-        trials=count,
         seeds=seeds,
         stats=tuple(stats),
     )

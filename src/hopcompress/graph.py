@@ -252,10 +252,12 @@ def edge_paths(g: Graph, t: int) -> Iterator[list[Path]]:
     a search from ``u`` lists them, and the searches may scan
     :data:`MAX_PATH_SCANS` adjacency entries in all, or
     :class:`~hopcompress.errors.SizeLimitError` is raised. It is raised
-    before any search when the first level alone passes the budget: the
-    search from ``u`` scans at least the row of ``u`` and the row of every
-    neighbour but ``v``. Otherwise it is raised mid-search, once the
-    entries counted so far pass the budget.
+    before any search when the first two levels pass the budget: the
+    search from ``u`` scans the row of ``u``, the row of every neighbour
+    ``a`` but ``v``, and the row of every neighbour of such an ``a`` but
+    ``u`` and ``v``. At ``t = 3`` that is the whole search, so the count
+    is exact. Otherwise it is raised mid-search, once the entries counted
+    so far pass the budget.
     """
     adjacency = g.adjacency
     if t <= 2:
@@ -265,13 +267,26 @@ def edge_paths(g: Graph, t: int) -> Iterator[list[Path]]:
             yield paths
         return
     degree = list(map(len, adjacency))
-    reach = [d + sum(map(degree.__getitem__, row)) for d, row in zip(degree, adjacency)]
-    first_level = sum(reach[u] - degree[v] for u, v in g.edges())
+    # S(x), the entries in the rows of x's neighbours, and T(x), the sum
+    # of S over them
+    s_of = [sum(map(degree.__getitem__, row)) for row in adjacency]
+    first_level = sum(degree[u] + s_of[u] - degree[v] for u, v in g.edges())
     too_many = (
         f"more than {MAX_PATH_SCANS} adjacency entries to scan for paths of at most {t} "
         "edges exceed the path-search guard; use fewer hop levels or the random ordering instead"
     )
     if first_level > MAX_PATH_SCANS:
+        raise SizeLimitError(too_many)
+    # the second level: for each a in N(u) - {v}, the rows of a's
+    # neighbours but u and v; u is one of them deg(u) - 1 times, v once
+    # per common neighbour of u and v
+    t_of = [sum(map(s_of.__getitem__, row)) for row in adjacency]
+    second_level = sum(
+        t_of[u] - s_of[v] - degree[u] * (degree[u] - 1)
+        - degree[v] * len(_common(adjacency[u], adjacency[v]))
+        for u, v in g.edges()
+    )
+    if first_level + second_level > MAX_PATH_SCANS:
         raise SizeLimitError(too_many)
     scans_left = MAX_PATH_SCANS
     for u, v in g.edges():

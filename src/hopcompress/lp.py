@@ -27,7 +27,7 @@ import importlib.util
 import math
 import pathlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, ClassVar, NamedTuple
 
 from .compress import ProportionFunction
 from .errors import SizeLimitError
@@ -98,7 +98,7 @@ class LpModel:
 
 @dataclass(frozen=True)
 class LpSolution:
-    status: str  # always "optimal"; any other outcome raises
+    status: ClassVar[str] = "optimal"  # any other outcome raises
     edge_values: dict[Edge, float]
     objective: float
     iterations: int  # HiGHS simplex iterations
@@ -241,9 +241,7 @@ def solve_lp(model: LpModel) -> LpSolution:
     edge_values = {
         e: round(min(max(float(x[i]), 0.0), 1.0), 9) for i, e in enumerate(model.edges)
     }
-    return LpSolution(
-        status="optimal", edge_values=edge_values, objective=objective, iterations=iterations
-    )
+    return LpSolution(edge_values=edge_values, objective=objective, iterations=iterations)
 
 
 class _Rows(NamedTuple):

@@ -167,6 +167,11 @@ class TestCompress:
         assert reports["lp"]["lp_iterations"] > 0
         assert set(reports["random"]) == documented
 
+    def test_four_level_lp_order_verifies(self, capsys):
+        # the builtin graph at t = 4: 2 699 paths from the depth-first search
+        assert main(["compress", "zachary", "--p", "0,0,0,1/2", "--ordering", "lp"]) == 0
+        assert json.loads(capsys.readouterr().out)["verified"] is True
+
     def test_lp_iteration_limit_is_config_error(self, triangle_file, lp_iteration_limit, capsys):
         code = main(["compress", triangle_file, "--p", "1", "--ordering", "lp"])
         assert code == 1
@@ -195,7 +200,7 @@ class TestCompress:
         assert err == f"error: invalid --p value {p!r}: Invalid literal for Fraction: {p!r}\n"
 
     def test_unsound_output_is_internal_error(self, monkeypatch, capsys):
-        broken = VerificationReport(False, (Violation(vertex=5, level=2, required=Fraction(3), achieved=1),))
+        broken = VerificationReport((Violation(vertex=5, level=2, required=Fraction(3), achieved=1),))
         monkeypatch.setattr("hopcompress.cli.verify", lambda *args: broken)
         assert main(["compress", "zachary", "--p", "1/2,1"]) == 3
         err = capsys.readouterr().err
@@ -207,7 +212,7 @@ class TestCompress:
     def test_unsound_output_names_the_input_vertex(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "labelled.txt"
         path.write_text("10 20\n20 30\n")
-        broken = VerificationReport(False, (Violation(vertex=0, level=1, required=Fraction(1), achieved=0),))
+        broken = VerificationReport((Violation(vertex=0, level=1, required=Fraction(1), achieved=0),))
         monkeypatch.setattr("hopcompress.cli.verify", lambda *args: broken)
         assert main(["compress", str(path), "--p", "1"]) == 3
         err = capsys.readouterr().err
@@ -438,7 +443,7 @@ class TestBench:
         assert payloads[0] == payloads[1]
 
     def test_unsound_output_is_internal_error(self, monkeypatch, capsys):
-        broken = VerificationReport(False, (Violation(vertex=5, level=1, required=Fraction(2), achieved=1),))
+        broken = VerificationReport((Violation(vertex=5, level=1, required=Fraction(2), achieved=1),))
         monkeypatch.setattr("hopcompress.evaluate.verify", lambda *args: broken)
         code = main(["bench", "--family", "8,12,2", "--p", "1", "--strategies", "basic", "--jobs", "1"])
         assert code == 3
@@ -569,9 +574,9 @@ class TestEdgeCases:
         assert "lp                     0.00" in capsys.readouterr().out
 
     def test_lp_path_budget_is_config_error(self, tmp_path, capsys, path_enumerations):
-        k60 = tmp_path / "k60.txt"
-        write_graph(k60, Graph.from_edges(60, list(itertools.combinations(range(60), 2))))
-        code = main(["compress", str(k60), "--p", "0,0,1/2", "--ordering", "lp"])
+        k30 = tmp_path / "k30.txt"
+        write_graph(k30, Graph.from_edges(30, list(itertools.combinations(range(30), 2))))
+        code = main(["compress", str(k30), "--p", "0,0,1/2", "--ordering", "lp"])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: more than ") and "use the ec or random ordering" in err

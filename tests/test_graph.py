@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hopcompress import (
     EdgeListFormatError,
     Graph,
+    SizeLimitError,
     enumerate_simple_paths,
     load_edge_list,
     write_edge_list,
@@ -280,8 +281,10 @@ class TestEdgePaths:
     @given(g=small_graphs(), t=st.integers(1, 4))
     def test_first_level_count(self, g, t):
         # From t = 3 on, a budget of exactly the scans the searches report
-        # is never refused, so the up-front count is at most that total. Up
-        # to t = 2 the paths are read from the rows: no search, no budget.
+        # is never refused, so the up-front count is at most that total. At
+        # t = 3 it is that total: one entry less is refused before any
+        # search. Up to t = 2 the paths are read from the rows: no search,
+        # no budget.
         total = sum(_simple_paths(g, u, v, t, math.inf)[1] for u, v in g.edges())
         calls = []
 
@@ -294,3 +297,9 @@ class TestEdgePaths:
             mp.setattr(graph_module, "MAX_PATH_SCANS", total if t >= 3 else 0)
             assert len(list(edge_paths(g, t))) == g.m
             assert len(calls) == (g.m if t >= 3 else 0)
+            if t == 3 and g.m:
+                calls.clear()
+                mp.setattr(graph_module, "MAX_PATH_SCANS", total - 1)
+                with pytest.raises(SizeLimitError, match="path-search guard"):
+                    next(edge_paths(g, t))
+                assert calls == []

@@ -193,6 +193,9 @@ class TestBuildLp:
             # 49.97M in all
             (lambda: Graph.from_edges(5000, [(0, k) for k in range(1, 5000)]), "0,0,1/2",
              f"more than {MAX_PATH_SCANS} adjacency entries to scan for paths of at most 3 edges"),
+            # K_60 at t=3: 6.2M entries at the first level, 351M over both
+            (lambda: Graph.from_edges(60, list(itertools.combinations(range(60), 2))), "0,0,1/2",
+             f"more than {MAX_PATH_SCANS} adjacency entries to scan for paths of at most 3 edges"),
             # every edge owns its direct path
             (lambda: Graph.from_edges(MAX_PATH_VARS + 2, [(i, i + 1) for i in range(MAX_PATH_VARS + 1)]),
              "1/2", f"more than {MAX_PATH_VARS} paths or {13 * MAX_PATH_VARS} constraint entries for paths of at most 1 edges"),
@@ -206,7 +209,7 @@ class TestBuildLp:
              ",".join(["1/2"] * 1000),
              f"more than {MAX_PATH_VARS} paths or {13 * MAX_PATH_VARS} constraint entries for paths of at most 1000 edges"),
         ],
-        ids=["star-K1,4999", "path-P10002", "cycle-C3000-t2999", "path-P5002-t1000"],
+        ids=["star-K1,4999", "K60-t3", "path-P10002", "cycle-C3000-t2999", "path-P5002-t1000"],
     )
     def test_refused_before_any_search(self, path_enumerations, build, p, message):
         with pytest.raises(SizeLimitError, match=f"^{message} exceed the "):
@@ -251,11 +254,11 @@ class TestBuildLp:
         assert len(path_enumerations) == 3
 
     def test_path_budget(self, path_enumerations):
-        # K_60 at t=3 has ~6M paths, 3 365 per edge
-        k60 = Graph.from_edges(60, list(itertools.combinations(range(60), 2)))
+        # K_30 at t=3 has 785 paths per edge and scans 9.9M entries in all
+        k30 = Graph.from_edges(30, list(itertools.combinations(range(30), 2)))
         with pytest.raises(SizeLimitError, match=f"more than {MAX_PATH_VARS} paths .*ec or random"):
-            build_lp(k60, ProportionFunction.parse("0,0,1/2"))
-        assert len(path_enumerations) == MAX_PATH_VARS // 3365 + 1
+            build_lp(k30, ProportionFunction.parse("0,0,1/2"))
+        assert len(path_enumerations) == MAX_PATH_VARS // 785 + 1
 
     @pytest.mark.parametrize(("graph", "p"), list(MODEL_DIGESTS), ids=str)
     def test_model_pinned(self, graph, p):
@@ -366,7 +369,7 @@ class TestSolveLp:
     @pytest.mark.parametrize("n", [0, 3])
     def test_edgeless_model_is_optimal_at_zero(self, n):
         solution = solve_lp(build_lp(Graph.from_edges(n, []), ProportionFunction.parse("1/2,1")))
-        assert solution == LpSolution(status="optimal", edge_values={}, objective=0.0, iterations=0)
+        assert solution == LpSolution(edge_values={}, objective=0.0, iterations=0)
 
     def test_rejected_highs_option_fails_loudly(self, triangle, monkeypatch):
         monkeypatch.setattr(

@@ -179,8 +179,6 @@ class TestEcScores:
         assert ec_scores(k5, 3) == dict.fromkeys(k5.edges(), 25)
         monkeypatch.setattr(graph_module, "MAX_PATH_SCANS", 0)
         assert ec_scores(k5, 2) == dict.fromkeys(k5.edges(), 7)  # counted, not enumerated
-        # 16 entries per edge at the first level, 160 in all: the search starts
-        monkeypatch.setattr(graph_module, "MAX_PATH_SCANS", 199)
         calls = []
 
         def counting(g, u, v, max_len, max_scans):
@@ -188,13 +186,24 @@ class TestEcScores:
             return _simple_paths(g, u, v, max_len, max_scans)
 
         monkeypatch.setattr(graph_module, "_simple_paths", counting)
+        # at t=3 the up-front count is the whole search: one entry short
+        # of it, no search starts
+        monkeypatch.setattr(graph_module, "MAX_PATH_SCANS", 399)
         with pytest.raises(
             SizeLimitError,
-            match=r"^more than 199 adjacency entries to scan for paths of at most 3 edges "
+            match=r"^more than 399 adjacency entries to scan for paths of at most 3 edges "
             "exceed the path-search guard;",
         ):
             ec_scores(k5, 3)
-        assert calls == [(0, 1, 199), (0, 2, 159), (0, 3, 119), (0, 4, 79), (1, 2, 39)]
+        assert calls == []
+        # at t=4 each search scans 64 entries, 40 of them counted up front:
+        # the searches start and the seventh passes the budget
+        monkeypatch.setattr(graph_module, "MAX_PATH_SCANS", 447)
+        with pytest.raises(SizeLimitError, match=r"^more than 447 .* at most 4 edges "):
+            ec_scores(k5, 4)
+        assert calls == [
+            (0, 1, 447), (0, 2, 383), (0, 3, 319), (0, 4, 255), (1, 2, 191), (1, 3, 127), (1, 4, 63)
+        ]
 
     def test_scan_budget_counts_dead_ends(self, path_enumerations, monkeypatch):
         # one path per edge, but the search from the hub scans every leaf
