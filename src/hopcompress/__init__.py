@@ -34,13 +34,7 @@ from .evaluate import (
     sp_histogram,
     stretch_check,
 )
-from .graph import (
-    Graph,
-    canonical_edge,
-    enumerate_simple_paths,
-    load_edge_list,
-    write_edge_list,
-)
+from .graph import Graph, canonical_edge, load_edge_list, write_edge_list
 from .lp import LpModel, LpSolution, build_lp, dump_lp, solve_lp
 from .orderings import (
     SaParams,
@@ -84,7 +78,6 @@ __all__ = [
     "dump_lp",
     "ec_order",
     "ec_scores",
-    "enumerate_simple_paths",
     "gen_gnm",
     "load_edge_list",
     "lp_order",

@@ -50,7 +50,7 @@ class ProportionFunction:
 
     ``props[i-1]`` is the proportion required at hop level i; the function
     is constant at ``props[-1]`` beyond level t. Must be monotone
-    non-decreasing with every value in [0, 1].
+    non-decreasing with every value an int or a Fraction in [0, 1].
     """
 
     props: tuple[Fraction, ...]
@@ -60,6 +60,8 @@ class ProportionFunction:
             raise ValueError("need at least one proportion")
         prev = Fraction(0)
         for i, p in enumerate(self.props, start=1):
+            if not isinstance(p, (int, Fraction)):  # the scan reads numerator and denominator
+                raise TypeError(f"p({i})={p!r} is a {type(p).__name__}, not an int or a Fraction")
             if not 0 <= p <= 1:
                 raise ValueError(f"p({i})={p} outside [0, 1]")
             if p < prev:

@@ -7,7 +7,6 @@ be written back in the caller's id space.
 
 from __future__ import annotations
 
-import math
 import warnings
 from bisect import bisect_left, insort
 from typing import IO, Iterable, Iterator, Sequence
@@ -227,25 +226,11 @@ def write_edge_list(g: Graph, out: IO[str]) -> None:
                     out.write(f"{u} {v}\n")
 
 
-def enumerate_simple_paths(g: Graph, u: int, v: int, max_len: int) -> list[Path]:
-    """Every simple path from ``u`` to ``v`` with at most ``max_len`` edges.
-
-    Paths are returned exactly once each, in lexicographic order of their
-    vertex sequences (the natural emission order of a DFS over sorted
-    adjacency). The direct edge, when present, appears as the length-1
-    path. Cost grows as b**max_len for average branching factor b.
-    """
-    if u == v:
-        raise ValueError("endpoints must differ")
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
-    return _simple_paths(g, u, v, max_len, math.inf)[0]
-
-
 def edge_paths(g: Graph, t: int) -> Iterator[list[Path]]:
     """For each canonical edge ``(u, v)``, in :meth:`Graph.edges` order, the
-    simple paths of at most ``t`` edges between its endpoints, in the
-    order of :func:`enumerate_simple_paths`.
+    simple paths of at most ``t`` edges between its endpoints, each once,
+    in lexicographic order of their vertex sequences; the direct path
+    ``(u, v)`` is one of them.
 
     Up to ``t = 2`` they are read from the rows: the direct path and, at
     ``t = 2``, one ``(u, w, v)`` per common neighbour w. From ``t = 3`` on
@@ -308,10 +293,11 @@ def _common(a: Sequence[int], b: Sequence[int]) -> list[int]:
 def _simple_paths(
     g: Graph, u: int, v: int, max_len: int, max_scans: float
 ) -> tuple[list[Path], int]:
-    """The paths of :func:`enumerate_simple_paths` and the number of
-    adjacency entries the DFS scans for them, which is what its time
-    grows with; stops early, with the count past ``max_scans``, once the
-    count passes it."""
+    """The simple paths from ``u`` to ``v != u`` of at most ``max_len``
+    edges, in lexicographic order (a DFS over sorted rows emits them so),
+    and the number of adjacency entries the DFS scans for them, which is
+    what its time grows with; stops early, with the count past
+    ``max_scans``, once the count passes it."""
     adjacency = g.adjacency
     paths: list[Path] = []
     on_path = {u}  # a set, not n flags: one search runs per edge

@@ -27,14 +27,11 @@ import importlib.util
 import math
 import pathlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, ClassVar, NamedTuple
+from typing import ClassVar
 
 from .compress import ProportionFunction
 from .errors import SizeLimitError
 from .graph import Edge, Graph, Path, edge_paths
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # HiGHS needs ~18 s for the 13 195 paths of K_14 at t=3 and ~12 s for
 # the 4 877 of G(40,200); K_60 at t=3 would ask for ~6M paths
@@ -213,25 +210,17 @@ def solve_lp(model: LpModel) -> LpSolution:
     import numpy as np
 
     n = model.num_vars
-    rows = _Rows(
-        start=np.array(model.start, dtype=np.int32),
-        col=np.array(model.col, dtype=np.int32),
-        coeff=np.array(model.coeff),
-        lower=np.array(model.lower),
-        upper=np.array(model.upper),
-    )
-
     witness = np.zeros(n)
     witness[list(model.witness_at_upper)] = 1.0
-    row, gap = _worst_row(rows, witness)
+    row, gap = _worst_row(model, witness)
     if gap > 0.0:
         raise ValueError(f"witness point violates row {row} by {gap:g}")
 
     costs = np.zeros(n)
     costs[: len(model.edges)] = 1.0
-    x, objective, iterations = _highs_solve(costs, rows)
+    x, objective, iterations = _highs_solve(costs, model)
 
-    row, gap = _worst_row(rows, x)
+    row, gap = _worst_row(model, x)
     if gap > 1e-7:
         raise SizeLimitError(
             f"LP solution violates row {row} by {gap:g} (numerical trouble in "
@@ -244,29 +233,17 @@ def solve_lp(model: LpModel) -> LpSolution:
     return LpSolution(edge_values=edge_values, objective=objective, iterations=iterations)
 
 
-class _Rows(NamedTuple):
-    """Constraint rows in compressed row form, with row bounds.
-
-    Row i holds the entries ``start[i]:start[i + 1]`` of ``col`` and ``coeff``.
-    """
-
-    start: np.ndarray
-    col: np.ndarray
-    coeff: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-
-
-def _worst_row(rows: _Rows, x) -> tuple[int, float]:
-    """The row ``x`` breaks by the most, and by how much (<= 0 if none)."""
+def _worst_row(model: LpModel, x) -> tuple[int, float]:
+    """The row of ``model`` that ``x`` breaks by the most, and by how much
+    (<= 0 if none)."""
     import numpy as np
 
-    m = rows.lower.size
+    m = len(model.lower)
     if m == 0:
         return -1, 0.0
-    row_of = np.repeat(np.arange(m), np.diff(rows.start))
-    lhs = np.bincount(row_of, weights=rows.coeff * x[rows.col], minlength=m)
-    gaps = np.maximum(lhs - rows.upper, rows.lower - lhs)
+    row_of = np.repeat(np.arange(m), np.diff(model.start))
+    lhs = np.bincount(row_of, weights=np.multiply(model.coeff, x[list(model.col)]), minlength=m)
+    gaps = np.maximum(lhs - np.array(model.upper), np.array(model.lower) - lhs)
     row = int(np.argmax(gaps))
     return row, float(gaps[row])
 
@@ -282,8 +259,8 @@ _HIGHS_OPTIONS = (
 )
 
 
-def _highs_solve(costs, rows: _Rows):
-    """min costs.x subject to the rows and 0 <= x <= 1, by HiGHS.
+def _highs_solve(costs, model: LpModel):
+    """min costs.x subject to the rows of ``model`` and 0 <= x <= 1, by HiGHS.
 
     Returns (x, objective, iterations) of the optimum. A model without
     columns is optimal at zero. Any other HiGHS status than optimal
@@ -292,16 +269,19 @@ def _highs_solve(costs, rows: _Rows):
     import numpy as np
 
     core = _highs_core()
-    n, m = costs.size, rows.lower.size
+    n, m = costs.size, len(model.lower)
+    start = np.array(model.start, dtype=np.int32)
+    col = np.array(model.col, dtype=np.int32)
     highs = core._Highs()
     for name, value in _HIGHS_OPTIONS:
         if highs.setOptionValue(name, value) != core.HighsStatus.kOk:
             raise RuntimeError(f"HiGHS rejected option {name}={value!r}")
     # the C API's array form: one start per row (HiGHS appends nnz), all columns continuous
     status = highs.passModel(
-        n, m, rows.col.size, core.MatrixFormat.kRowwise, core.ObjSense.kMinimize, 0.0,
-        costs, np.zeros(n), np.ones(n), rows.lower, rows.upper,
-        rows.start[:-1], rows.col, rows.coeff, np.zeros(n, dtype=np.int32),
+        n, m, col.size, core.MatrixFormat.kRowwise, core.ObjSense.kMinimize, 0.0,
+        costs, np.zeros(n), np.ones(n), np.array(model.lower, dtype=float),
+        np.array(model.upper, dtype=float), start[:-1], col,
+        np.array(model.coeff, dtype=float), np.zeros(n, dtype=np.int32),
     )
     if status == core.HighsStatus.kError:
         raise RuntimeError("HiGHS rejected the LP model")

@@ -16,8 +16,18 @@ import time
 from dataclasses import dataclass
 
 from .compress import CompressionResult, ProportionFunction, _scan, compress_basic
+from .errors import SizeLimitError
 from .graph import Edge, Graph, edge_paths
 from .lp import _highs_core, build_lp, solve_lp
+
+# swap trials times edges that sa_order may run, about 8-56 s: a trial
+# rescans at most the m edges of the order, at the 0.8 us an edge-trial
+# measured on 2 cores on zachary, 1.1 us on G(200,1000), 1.6 us on
+# G(1000,5000), 3.6 us on G(3000,30000) and 5.6 us on a 198 110-edge
+# co-author graph at p=0,1/2; 1000 trials make 5M on G(1000,5000) (8 s)
+# and would make 30M on G(3000,30000) (~110 s) and 198M on the co-author
+# graph (~18 min)
+MAX_SA_EDGE_TRIALS = 10_000_000
 
 # every accepted strategy name -> its canonical name; the CLI choices and
 # normalize_strategy read this table
@@ -156,26 +166,36 @@ def sa_order(g: Graph, pf: ProportionFunction, params: SaParams) -> tuple[Edge, 
     flags and, when the kept edges up to the second swapped position
     match, reuses the current order's later decisions too. The costs,
     and so the search, are identical to a full rescan per trial.
+
+    With fewer than two edges no swap exists, and the initial order is
+    returned at once. Otherwise more than :data:`MAX_SA_EDGE_TRIALS`
+    trials times edges raise :class:`~hopcompress.errors.SizeLimitError`
+    before the first scan.
     """
     rng = random.Random(params.seed)
     current = list(g.edges())
     rng.shuffle(current)
+    m = len(current)
+    if m < 2:
+        return tuple(current)
+    if params.iterations * m > MAX_SA_EDGE_TRIALS:
+        raise SizeLimitError(
+            f"{params.iterations} annealing trials over {m} edges exceed the SA guard of "
+            f"{MAX_SA_EDGE_TRIALS} edge-trials; lower --sa-iters or use the ec or random "
+            "ordering instead"
+        )
 
     flags = _scan(g.n, current, pf)
     cost_current = sum(flags)
     best = current
     cost_best = cost_current
 
-    m = len(current)
     temperature = params.t0
     for _ in range(params.iterations):
-        if m >= 2:
-            i, j = sorted(rng.sample(range(m), 2))
-            candidate = list(current)
-            candidate[i], candidate[j] = candidate[j], candidate[i]
-            candidate_flags = _scan(g.n, candidate, pf, flags, (i, j))
-        else:
-            candidate, candidate_flags = current, flags
+        i, j = sorted(rng.sample(range(m), 2))
+        candidate = list(current)
+        candidate[i], candidate[j] = candidate[j], candidate[i]
+        candidate_flags = _scan(g.n, candidate, pf, flags, (i, j))
         cost = sum(candidate_flags)
         if cost < cost_best:
             best = candidate

@@ -99,6 +99,14 @@ class TestCompress:
         assert main(args + ["--sa-alpha", "0.5", "--sa-iters", "1200"]) == 0
         assert json.loads(capsys.readouterr().out)["verified"] is True
 
+    def test_sa_past_its_work_guard(self, capsys):
+        args = ["compress", "triangle", "--p", "1/2", "--ordering", "sa"]
+        assert main(args + ["--sa-iters", "1000000000"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: 1000000000 annealing trials over 3 edges exceed")
+        assert err.count("\n") == 1
+
     def test_missing_input_is_io_error(self):
         assert main(["compress", "/nonexistent/g.txt", "--p", "1"]) == 2
 
@@ -742,6 +750,9 @@ class TestDrawnArguments:
     @example(run=({}, ["bench", "--family", "1_0,+2, 1", "--p", "1", "--jobs", "1_0"]))
     @example(run=({}, ["gen", "@gen", "--n", "\u0663", "--m", "1"]))
     @example(run=({}, ["bench", "--family", "1000001,1,1", "--p", "1", "--strategies", "basic"]))
+    # SA ran 3 * 10**9 edge-trials with no work bound
+    @example(run=({}, ["compress", "triangle", "--p", "1/2", "--ordering", "sa", "--sa-iters", "1000000000"]))
+    @example(run=({}, ["bench", "--family", "5,4,1", "--p", "1/2", "--strategies", "sa", "--sa-iters", "1000000000"]))
     def test_exits_cleanly(self, run, tmp_path, capsys):
         # exit 3 would be an internal error; anything raised is a crash
         files, argv = run

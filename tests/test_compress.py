@@ -151,6 +151,12 @@ class TestProportionFunction:
         with pytest.raises(ValueError, match="non-decreasing"):
             ProportionFunction.parse("0.9,0.5")
 
+    @pytest.mark.parametrize("value", [0.5, np.float64(0.5)], ids=["float", "numpy-float64"])
+    def test_rejects_floats(self, value):
+        # a float would reach the scan, which reads numerator and denominator
+        with pytest.raises(TypeError, match=r"^p\(2\)=.* not an int or a Fraction$"):
+            ProportionFunction((0, value))
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             ProportionFunction.parse("1.5")

@@ -11,7 +11,6 @@ from hopcompress import (
     EdgeListFormatError,
     Graph,
     SizeLimitError,
-    enumerate_simple_paths,
     load_edge_list,
     write_edge_list,
 )
@@ -199,36 +198,40 @@ class TestGraphInvariants:
         assert 2 * g.m == sum(len(a) for a in g.adjacency)
 
 
+def simple_paths(g, u, v, max_len):
+    return _simple_paths(g, u, v, max_len, math.inf)[0]
+
+
 class TestEnumerateSimplePaths:
+    """``_simple_paths``, the search behind ``edge_paths`` from t = 3 on."""
+
     def test_triangle(self, triangle):
-        assert enumerate_simple_paths(triangle, 0, 1, 2) == [(0, 1), (0, 2, 1)]
+        assert simple_paths(triangle, 0, 1, 2) == [(0, 1), (0, 2, 1)]
 
     def test_path_no_direct_edge(self):
         path = Graph.from_edges(3, [(0, 1), (1, 2)])
-        assert enumerate_simple_paths(path, 0, 2, 1) == []
+        assert simple_paths(path, 0, 2, 1) == []
 
     def test_diamond_lexicographic(self, diamond):
-        assert enumerate_simple_paths(diamond, 1, 2, 2) == [
+        assert simple_paths(diamond, 1, 2, 2) == [
             (1, 0, 2),
             (1, 2),
             (1, 3, 2),
         ]
 
-    def test_rejects_equal_endpoints(self, triangle):
-        with pytest.raises(ValueError):
-            enumerate_simple_paths(triangle, 1, 1, 2)
-
     @settings(max_examples=80, deadline=None)
     @given(g=small_graphs())
     def test_matches_recursive_oracle(self, g):
+        # every ordered pair, adjacent or not; the oracle's sorted list is
+        # the lexicographic order the search emits
         for u in range(g.n):
             for v in range(g.n):
                 if u == v:
                     continue
                 for max_len in (1, 2, 3, 4):
-                    mine = enumerate_simple_paths(g, u, v, max_len)
-                    assert sorted(mine) == recursive_simple_paths(g, u, v, max_len)
-                    assert mine == sorted(mine)  # lexicographic emission
+                    assert simple_paths(g, u, v, max_len) == recursive_simple_paths(
+                        g, u, v, max_len
+                    )
 
     @settings(max_examples=40, deadline=None)
     @given(g=small_graphs())
@@ -248,7 +251,7 @@ class TestEnumerateSimplePaths:
                 if u != v:
                     for max_len in (1, 2, 3):
                         paths, scans = _simple_paths(g, u, v, max_len, math.inf)
-                        assert paths == enumerate_simple_paths(g, u, v, max_len)
+                        assert paths == recursive_simple_paths(g, u, v, max_len)
                         assert scans == rows_scanned((u,), v, max_len)
 
     def test_scan_budget_stops_the_search(self):
@@ -264,7 +267,7 @@ class TestEnumerateSimplePaths:
     def test_single_edge_path_iff_edge(self, g):
         for u in range(g.n):
             for v in range(u + 1, g.n):
-                count = len(enumerate_simple_paths(g, u, v, 1))
+                count = len(simple_paths(g, u, v, 1))
                 assert count == (1 if g.has_edge(u, v) else 0)
 
 
@@ -272,9 +275,9 @@ class TestEdgePaths:
     @settings(max_examples=40, deadline=None)
     @given(g=small_graphs())
     def test_each_edge_with_its_paths(self, g):
-        for t in (1, 2, 3):
+        for t in (1, 2, 3, 4):
             assert list(edge_paths(g, t)) == [
-                enumerate_simple_paths(g, u, v, t) for u, v in g.edges()
+                recursive_simple_paths(g, u, v, t) for u, v in g.edges()
             ]
 
     @settings(max_examples=60, deadline=None)

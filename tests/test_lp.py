@@ -32,7 +32,7 @@ from hopcompress import (
     verify,
 )
 from hopcompress.graph import MAX_PATH_SCANS
-from hopcompress.lp import MAX_PATH_VARS, LpRow, _highs_solve, _Rows
+from hopcompress.lp import MAX_PATH_VARS, LpRow, _highs_solve
 
 from conftest import small_graphs
 
@@ -72,18 +72,26 @@ MODEL_DIGESTS = {
 }
 
 
-def dense_rows(a, senses, b) -> _Rows:
+def rows_only(start, col, coeff, lower, upper) -> LpModel:
+    """A model that carries only the row arrays, as ``_highs_solve`` reads them."""
+    return LpModel(
+        edges=(), paths=(), start=start, col=col, coeff=coeff, lower=lower, upper=upper,
+        tags=(), witness_at_upper=(),
+    )
+
+
+def dense_rows(a, senses, b) -> LpModel:
     """``a[i] . x (senses[i]) b[i]`` as the row-wise form HiGHS is given."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     row_of, col = np.nonzero(a)  # row by row
     at_most = np.array([sense == "<=" for sense in senses])
-    return _Rows(
-        start=np.concatenate(([0], np.cumsum(np.count_nonzero(a, axis=1)))).astype(np.int32),
-        col=col.astype(np.int32),
-        coeff=a[row_of, col],
-        lower=np.where(at_most, -np.inf, b),
-        upper=np.where(at_most, b, np.inf),
+    return rows_only(
+        start=tuple(np.concatenate(([0], np.cumsum(np.count_nonzero(a, axis=1)))).tolist()),
+        col=tuple(col.tolist()),
+        coeff=tuple(a[row_of, col].tolist()),
+        lower=tuple(np.where(at_most, -np.inf, b).tolist()),
+        upper=tuple(np.where(at_most, b, np.inf).tolist()),
     )
 
 
@@ -468,15 +476,15 @@ class TestKnownInstances:
         ids=["column", "decreasing-start", "start-past-entries", "nan-bound", "repeated-column"],
     )
     def test_malformed_rows_are_rejected_by_highs(self, start, col, lower):
-        rows = _Rows(
-            start=np.array(start, dtype=np.int32),
-            col=np.array(col, dtype=np.int32),
-            coeff=np.ones(len(col)),
-            lower=np.array(lower, dtype=float),
-            upper=np.full(len(lower), np.inf),
+        model = rows_only(
+            start=tuple(start),
+            col=tuple(col),
+            coeff=(1.0,) * len(col),
+            lower=tuple(lower),
+            upper=(math.inf,) * len(lower),
         )
         with pytest.raises(RuntimeError, match="^HiGHS rejected the LP model$"):
-            _highs_solve(np.ones(2), rows)
+            _highs_solve(np.ones(2), model)
 
     def test_crash_start_rejects_infeasible_point(self):
         # all-at-upper violates the <= row, so the model is malformed

@@ -370,6 +370,36 @@ class TestSaCompress:
         assert final_orders[-1] == best
         assert result.kept == kept
 
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_fewer_than_two_edges_return_the_shuffle(self, m, monkeypatch):
+        # no swap exists, so no scan runs and no trial count is refused
+        monkeypatch.setattr(orderings_module, "_scan", None)
+        g = Graph.from_edges(3, [(0, 2)][:m])
+        pf = ProportionFunction.parse("1/2,1")
+        for iterations in (0, 5, 10**9):
+            params = SaParams(iterations=iterations, seed=7)
+            assert sa_order(g, pf, params) == random_order(g, 7)
+
+    def test_work_guard_at_its_boundary(self, triangle, monkeypatch):
+        # a stubbed scan keeps every edge, so only the guard decides
+        scans = []
+        monkeypatch.setattr(
+            orderings_module, "_scan", lambda n, order, *args: scans.append(order) or [1] * 3
+        )
+        pf = ProportionFunction.parse("0,1/2")
+        limit = orderings_module.MAX_SA_EDGE_TRIALS
+        with pytest.raises(SizeLimitError, match="--sa-iters or use the ec or random ordering"):
+            sa_order(triangle, pf, SaParams(iterations=limit // 3 + 1))
+        assert scans == []
+        monkeypatch.setattr(orderings_module, "MAX_SA_EDGE_TRIALS", 12)
+        sa_order(triangle, pf, SaParams(iterations=4))  # 3 edges x 4 trials = 12
+        assert len(scans) == 1 + 4
+        with pytest.raises(
+            SizeLimitError, match=r"^5 annealing trials over 3 edges exceed the SA guard of 12 "
+        ):
+            sa_order(triangle, pf, SaParams(iterations=5))
+        assert len(scans) == 1 + 4
+
     @settings(max_examples=25, deadline=None)
     @given(g=small_graphs(min_n=3), seed=...)
     def test_never_worse_than_initial_order(self, g, seed: int):
