@@ -23,6 +23,7 @@ from .errors import (
     InvalidOrderingError,
     NotASubgraphError,
     SizeLimitError,
+    UnsoundOutputError,
 )
 from .evaluate import (
     BenchReport,
@@ -66,6 +67,7 @@ __all__ = [
     "SizeLimitError",
     "SpHistogram",
     "StretchReport",
+    "UnsoundOutputError",
     "VerificationReport",
     "Violation",
     "bench_orderings",

@@ -12,6 +12,7 @@ import dataclasses
 import json
 import sys
 import time
+import warnings
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -19,7 +20,7 @@ from typing import Callable, TextIO
 
 from .compress import ProportionFunction, verify
 from .datagen import BUILTIN_NAMES, FamilySpec, builtin, gnm_pairs
-from .errors import EdgeListFormatError, HopCompressError
+from .errors import EdgeListFormatError, HopCompressError, UnsoundOutputError
 from .evaluate import bench_orderings, compression_ratio, sp_histogram, stretch_check
 from .graph import Graph, canonical_edge, load_edge_list, write_edge_list
 from .orderings import STRATEGIES, SaParams, run_strategy
@@ -52,15 +53,22 @@ class _ForeignEdgeError(CliError):
 
 
 def _load_graph(path: str) -> Graph:
+    """The builtin graph or edge-list file named ``path``; each of the
+    loader's warnings prints as one ``warning: <path>: ...`` line on stderr."""
     if path in BUILTIN_NAMES:
         return builtin(path)
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return load_edge_list(handle)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with open(path, "r", encoding="utf-8") as handle:
+                g = load_edge_list(handle)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_IO) from exc
     except (EdgeListFormatError, UnicodeDecodeError) as exc:
         raise CliError(f"{path}: {exc}", EXIT_CONFIG) from exc
+    for warning in caught:
+        print(f"warning: {path}: {warning.message}", file=sys.stderr)
+    return g
 
 
 def _load_onto(g: Graph, path: str) -> Graph:
@@ -140,8 +148,7 @@ def cmd_compress(args) -> int:
     if not report.ok:
         first = report.violations[0]
         first = dataclasses.replace(first, vertex=(g.labels or range(g.n))[first.vertex])
-        print(f"internal error: output fails verification ({first})", file=sys.stderr)
-        return EXIT_INTERNAL
+        raise UnsoundOutputError(f"output fails verification ({first})")
 
     if args.output:
         _write(args.output, partial(write_edge_list, gc))
@@ -262,9 +269,6 @@ def cmd_bench(args) -> int:
         report = bench_orderings(family, pf, strategies, sa_params=sa, jobs=args.jobs)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_CONFIG) from exc
-    except RuntimeError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     print(report.format_table(), end="")
     if args.report:
         _write(args.report, lambda handle: handle.write(report.to_json()))
@@ -329,9 +333,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_sa_flags(parser) -> None:
-    parser.add_argument("--sa-iters", type=_integer, default=1000)
-    parser.add_argument("--sa-t0", type=float, default=10.0)
-    parser.add_argument("--sa-alpha", type=float, default=0.99)
+    defaults = SaParams()
+    parser.add_argument("--sa-iters", type=_integer, default=defaults.iterations)
+    parser.add_argument("--sa-t0", type=float, default=defaults.t0)
+    parser.add_argument("--sa-alpha", type=float, default=defaults.alpha)
 
 
 def main(argv=None) -> int:
@@ -348,6 +353,9 @@ def main(argv=None) -> int:
     except HopCompressError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except UnsoundOutputError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 
 
 class HopCompressError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for the toolkit's errors about what it is given."""
 
 
 class EdgeListFormatError(HopCompressError, ValueError):
@@ -29,3 +29,8 @@ class NotASubgraphError(HopCompressError, ValueError):
 
 class SizeLimitError(HopCompressError, ValueError):
     """An instance exceeds a documented size guard for an expensive routine."""
+
+
+class UnsoundOutputError(RuntimeError):
+    """The toolkit's own output fails ``verify``: a bug, not bad input, so
+    not a :class:`HopCompressError`."""

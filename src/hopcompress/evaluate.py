@@ -12,7 +12,7 @@ from typing import Iterator
 
 from .compress import ProportionFunction, require_subgraph, verify
 from .datagen import FamilySpec, gen_gnm
-from .errors import SizeLimitError
+from .errors import SizeLimitError, UnsoundOutputError
 from .graph import Graph
 from .orderings import SaParams, normalize_strategy, run_strategy
 
@@ -194,7 +194,7 @@ def _bench_trial(args) -> list[tuple[str, int, float]]:
         result = run_strategy(g, pf, strategy, seed=seed, sa_params=sa_params)
         report = verify(g, result.subgraph(), pf)
         if not report.ok:
-            raise RuntimeError(
+            raise UnsoundOutputError(
                 f"soundness violation: strategy {strategy} seed {seed} "
                 f"produced {len(report.violations)} violation(s); first: "
                 f"{report.violations[0]}"
@@ -215,8 +215,8 @@ def bench_orderings(
     Trial i compresses ``gen_gnm(family.n, family.m, family.seed + i)``
     under every strategy, with ``family.seed + i`` as its seed.
 
-    Every output is re-verified; a failure aborts loudly since it can
-    only mean a compressor bug. Trials are independent, so ``jobs > 1``
+    Every output is re-verified; a failure raises :class:`UnsoundOutputError`
+    since it can only mean a compressor bug. Trials are independent, so ``jobs > 1``
     fans them out across at most ``min(jobs, trials, cpu count)`` worker
     processes without changing any result; the process pool is imported
     only then. ``jobs < 1``, n above :data:`BENCH_MAX_N`, an empty strategy

@@ -40,12 +40,9 @@ MAX_PATH_VARS = 10_000
 
 @dataclass(frozen=True)
 class LpRow:
-    """One constraint: sum(coeff * var) sense rhs, with a tag naming its kind."""
+    """One row's (variable, coefficient) entries."""
 
     coeffs: tuple[tuple[int, float], ...]
-    sense: str  # "<=" or ">="
-    rhs: float
-    tag: str  # "path-needs-edge" | "one-route-per-edge" | "coverage"
 
 
 @dataclass(frozen=True)
@@ -56,9 +53,11 @@ class LpModel:
     variables are the flattened path variables, grouped per edge in
     ``paths`` order. The rows are stored in the row-wise form HiGHS
     takes: row i holds the entries ``start[i]:start[i + 1]`` of ``col``
-    and ``coeff``, lies in ``[lower[i], upper[i]]`` and has kind
-    ``tags[i]``. ``witness_at_upper`` lists variables that are 1 in the
-    always-feasible point (every edge kept, flow on direct paths).
+    and ``coeff`` and lies in ``[lower[i], upper[i]]``. The bounds tell
+    a row's kind: upper 0 marks path-needs-edge, upper 1 with lower -inf
+    one-route-per-edge, and a finite lower coverage. ``witness_at_upper``
+    lists variables that are 1 in the always-feasible point (every edge
+    kept, flow on direct paths).
     """
 
     edges: tuple[Edge, ...]
@@ -68,7 +67,6 @@ class LpModel:
     coeff: tuple[float, ...]
     lower: tuple[float, ...]
     upper: tuple[float, ...]
-    tags: tuple[str, ...]
     witness_at_upper: tuple[int, ...]
 
     @property
@@ -77,20 +75,12 @@ class LpModel:
 
     @property
     def rows(self) -> tuple[LpRow, ...]:
-        """The rows as records: ``<=`` the upper bound where the lower is
-        -inf, ``>=`` the lower bound otherwise. A row with two finite
-        bounds has no record and raises ValueError."""
-        rows = []
-        for i, tag in enumerate(self.tags):
-            if self.lower[i] == -math.inf:
-                sense, rhs = "<=", self.upper[i]
-            elif self.upper[i] == math.inf:
-                sense, rhs = ">=", self.lower[i]
-            else:
-                raise ValueError(f"row {i} has two finite bounds")
-            entries = slice(self.start[i], self.start[i + 1])
-            rows.append(LpRow(tuple(zip(self.col[entries], self.coeff[entries])), sense, rhs, tag))
-        return tuple(rows)
+        """Each row's entries as an :class:`LpRow`, built on each read.
+        Its one reader is the benchmark under ``perfbench/``."""
+        return tuple(
+            LpRow(tuple(zip(self.col[a:b], self.coeff[a:b])))
+            for a, b in zip(self.start, self.start[1:])
+        )
 
 
 @dataclass(frozen=True)
@@ -184,8 +174,6 @@ def build_lp(g: Graph, pf: ProportionFunction) -> LpModel:
         coeff=(1.0, -1.0) * needs + (1.0,) * (len(col) - 2 * needs),
         lower=(-math.inf,) * (needs + len(edges)) + tuple(demand),
         upper=(0.0,) * needs + (1.0,) * len(edges) + (math.inf,) * len(demand),
-        tags=("path-needs-edge",) * needs + ("one-route-per-edge",) * len(edges)
-        + ("coverage",) * len(demand),
         witness_at_upper=tuple(witness),
     )
 
@@ -328,7 +316,8 @@ def _highs_core():
 
 
 def dump_lp(model: LpModel) -> str:
-    """Human-readable LP text (objective, rows, bounds) for cross-checking."""
+    """Human-readable LP text (objective, rows, bounds) for cross-checking.
+    A row with two finite bounds, which :func:`build_lp` never emits, raises ValueError."""
     names = [f"x_{u}_{v}" for u, v in model.edges]
     for (u, v), group in zip(model.edges, model.paths):
         names.extend(f"f_{u}_{v}_{k}" for k in range(len(group)))
@@ -336,9 +325,15 @@ def dump_lp(model: LpModel) -> str:
     objective = " + ".join(names[: len(model.edges)])
     lines.append(f" obj: {objective}")
     lines.append("Subject To")
-    for i, row in enumerate(model.rows):
+    for i, (a, b) in enumerate(zip(model.start, model.start[1:])):
+        if model.lower[i] == -math.inf:
+            sense, rhs = "<=", model.upper[i]
+        elif model.upper[i] == math.inf:
+            sense, rhs = ">=", model.lower[i]
+        else:
+            raise ValueError(f"row {i} has two finite bounds")
         terms = []
-        for var, coeff in row.coeffs:
+        for var, coeff in zip(model.col[a:b], model.coeff[a:b]):
             name = names[var]
             if coeff == 1.0:
                 terms.append(f"+ {name}")
@@ -347,7 +342,7 @@ def dump_lp(model: LpModel) -> str:
             else:
                 terms.append(f"{coeff:+g} {name}")
         body = " ".join(terms).lstrip("+ ")
-        lines.append(f" c{i}: {body} {row.sense} {row.rhs:g}")
+        lines.append(f" c{i}: {body} {sense} {rhs:g}")
     lines.append("Bounds")
     for name in names:
         lines.append(f" 0 <= {name} <= 1")

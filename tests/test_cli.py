@@ -3,6 +3,7 @@ import itertools
 import json
 import tracemalloc
 import warnings
+from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,8 +11,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from hopcompress import Graph, builtin, gen_gnm, write_edge_list
-from hopcompress.cli import main
+from hopcompress import Graph, SaParams, builtin, gen_gnm, write_edge_list
+from hopcompress.cli import build_parser, main
 from hopcompress.compress import VerificationReport, Violation
 
 
@@ -229,6 +230,14 @@ class TestCompress:
             "within 1 hop(s), needs at least 1)\n"
         )
 
+    def test_duplicate_edge_is_one_warning_line(self, tmp_path, capsys):
+        path = tmp_path / "repeat.txt"
+        path.write_text("0 1\n1 0\n1 2\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning escaping main would raise
+            assert main(["compress", str(path), "--p", "1"]) == 0
+        assert capsys.readouterr().err == f"warning: {path}: collapsed 1 duplicate edge(s)\n"
+
 
 class TestVerify:
     def test_roundtrip_after_compress(self, zachary_file, tmp_path, capsys):
@@ -261,6 +270,12 @@ class TestVerify:
         code = main(["verify", str(original), str(gc), "--p", "1"])
         assert code == 4
         assert "(0, 2)" in capsys.readouterr().out
+
+    def test_duplicate_edge_in_the_compressed_file_is_named(self, triangle_file, tmp_path, capsys):
+        path = tmp_path / "repeat.txt"
+        path.write_text("0 1\n1 0\n1 2\n0 2\n")
+        assert main(["verify", triangle_file, str(path), "--p", "1"]) == 0
+        assert capsys.readouterr() == ("ok\n", f"warning: {path}: collapsed 1 duplicate edge(s)\n")
 
 
 class TestGenAndEval:
@@ -459,6 +474,16 @@ class TestBench:
         assert err.startswith("internal error: soundness violation: strategy basic-random seed 0 ")
         assert err.endswith("first: vertex 5: 1 of its neighbors within 1 hop(s), needs at least 2\n")
 
+    def test_broken_process_pool_is_not_an_internal_error(self, monkeypatch, capsys):
+        # a worker killed from outside (the OOM killer, say) is no self-check failure
+        def broken(*args, **kwargs):
+            raise BrokenProcessPool("A process in the process pool was terminated abruptly")
+
+        monkeypatch.setattr("hopcompress.evaluate.run_strategy", broken)
+        with pytest.raises(BrokenProcessPool):
+            main(["bench", "--family", "8,12,2", "--p", "1", "--strategies", "basic"])
+        assert "internal error" not in capsys.readouterr().err
+
     def test_bad_family_string(self):
         assert main(["bench", "--family", "8,12", "--p", "1"]) == 1
 
@@ -648,6 +673,14 @@ class TestArgumentHandling:
         reason = "hopcompress bench: error: argument --family: expected N,M,COUNT, got '8,12'"
         assert err.splitlines()[-1] == reason
 
+    @pytest.mark.parametrize("argv", [["compress", "zachary"], ["bench", "--family", "5,4,1"]])
+    def test_sa_defaults_are_sa_params(self, argv):
+        args = build_parser().parse_args(argv + ["--p", "1"])
+        defaults = SaParams()
+        assert (args.sa_iters, args.sa_t0, args.sa_alpha) == (
+            defaults.iterations, defaults.t0, defaults.alpha
+        )
+
     def test_builtin_names_accepted(self, capsys):
         assert main(["compress", "zachary", "--p", "1"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -766,4 +799,4 @@ class TestDrawnArguments:
         out, err = capsys.readouterr()
         assert code in (0, 1, 2, 4), (argv, code, err)
         assert "Traceback" not in out + err
-        assert all("duplicate edge" in str(w.message) for w in caught), [w.message for w in caught]
+        assert not caught, [w.message for w in caught]  # the CLI prints its warnings itself

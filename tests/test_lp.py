@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -76,7 +78,7 @@ def rows_only(start, col, coeff, lower, upper) -> LpModel:
     """A model that carries only the row arrays, as ``_highs_solve`` reads them."""
     return LpModel(
         edges=(), paths=(), start=start, col=col, coeff=coeff, lower=lower, upper=upper,
-        tags=(), witness_at_upper=(),
+        witness_at_upper=(),
     )
 
 
@@ -111,15 +113,31 @@ def scipy_reference(c, a, senses, b):
     )
 
 
-def row_tags(model):
-    tags = {}
-    for row in model.rows:
-        tags[row.tag] = tags.get(row.tag, 0) + 1
-    return tags
+def row_kinds(model):
+    """How many rows of each kind the model has, told apart by their bounds."""
+    def kind(lower, upper):
+        if upper == 0:
+            return "path-needs-edge"
+        if upper == 1 and lower == -math.inf:
+            return "one-route-per-edge"
+        assert math.isfinite(lower) and upper == math.inf, (lower, upper)
+        return "coverage"
+
+    return collections.Counter(map(kind, model.lower, model.upper))
+
+
+def row_entries(model):
+    """Each row's (variable, coefficient) entries, read from the arrays."""
+    bounds = zip(model.start, model.start[1:])
+    return [tuple(zip(model.col[a:b], model.coeff[a:b])) for a, b in bounds]
+
+
+# one hand-written constraint: sum(coeff * var) sense rhs
+Row = collections.namedtuple("Row", "coeffs sense rhs")
 
 
 def row_arrays(rows):
-    """LpRow records as LpModel's row-wise fields, in record order."""
+    """Row records as LpModel's row-wise fields, in record order."""
     start, col, coeff = [0], [], []
     for row in rows:
         col += [var for var, _ in row.coeffs]
@@ -131,7 +149,6 @@ def row_arrays(rows):
         coeff=tuple(coeff),
         lower=tuple(-math.inf if row.sense == "<=" else row.rhs for row in rows),
         upper=tuple(row.rhs if row.sense == "<=" else math.inf for row in rows),
-        tags=tuple(row.tag for row in rows),
     )
 
 
@@ -151,7 +168,7 @@ class TestBuildLp:
         g = Graph.from_edges(2, [(0, 1)])
         model = build_lp(g, ProportionFunction.parse("1"))
         assert model.num_vars == 2
-        assert row_tags(model) == {
+        assert row_kinds(model) == {
             "path-needs-edge": 1,
             "one-route-per-edge": 1,
             "coverage": 2,  # one per endpoint at level 1
@@ -171,13 +188,13 @@ class TestBuildLp:
     def test_row_counts_match_structure(self, diamond):
         pf = ProportionFunction.parse("0,1")
         model = build_lp(diamond, pf)
-        tags = row_tags(model)
+        kinds = row_kinds(model)
         path_edges = sum(len(p) - 1 for group in model.paths for p in group)
-        assert tags["path-needs-edge"] == path_edges
-        assert tags["one-route-per-edge"] == diamond.m
+        assert kinds["path-needs-edge"] == path_edges
+        assert kinds["one-route-per-edge"] == diamond.m
         # p(1) = 0: only level 2 asks for anything
-        assert tags["coverage"] == diamond.n
-        assert all(row.rhs > 0 for row in model.rows if row.sense == ">=")
+        assert kinds["coverage"] == diamond.n
+        assert all(lower > 0 for lower in model.lower if lower > -math.inf)
 
     def test_long_path_gets_a_verified_order(self):
         # 5001 edges, one direct path each, far inside both counts
@@ -283,27 +300,20 @@ class TestBuildLp:
         model = build_lp(g, ProportionFunction.parse("0,1/2"))
         at_upper = set(model.witness_at_upper)
         assert at_upper >= set(range(len(model.edges)))
-        for row in model.rows:
-            lhs = sum(c for var, c in row.coeffs if var in at_upper)
-            assert lhs <= row.rhs if row.sense == "<=" else lhs >= row.rhs, row
+        for i, entries in enumerate(row_entries(model)):
+            lhs = sum(c for var, c in entries if var in at_upper)
+            assert model.lower[i] <= lhs <= model.upper[i], (i, entries)
 
     @settings(max_examples=30, deadline=None)
     @given(g=small_graphs(), props=st.lists(st.sampled_from(["0", "1/3", "1/2", "1"]), min_size=1, max_size=3))
     def test_rows_view_rebuilds_the_arrays(self, g, props):
+        # what the benchmark reads: one record per row, each holding its entries
         model = build_lp(g, ProportionFunction.parse(",".join(sorted(props, key=Fraction))))
         rows = model.rows
-        fields = ("start", "col", "coeff", "lower", "upper", "tags")
-        assert row_arrays(rows) == {field: getattr(model, field) for field in fields}
+        assert [field.name for field in dataclasses.fields(LpRow)] == ["coeffs"]
         assert len(rows) == len(model.start) - 1
+        assert [row.coeffs for row in rows] == row_entries(model)
         assert sum(len(row.coeffs) for row in rows) == len(model.col)
-
-    def test_row_with_two_finite_bounds_has_no_record(self):
-        model = LpModel(
-            edges=((0, 1),), paths=((),), start=(0, 1), col=(0,), coeff=(1.0,),
-            lower=(0.0,), upper=(1.0,), tags=("range",), witness_at_upper=(0,),
-        )
-        with pytest.raises(ValueError, match="^row 0 has two finite bounds$"):
-            model.rows
 
 
 class TestSolveLp:
@@ -368,7 +378,7 @@ class TestSolveLp:
         model = LpModel(
             edges=((0, 1),),
             paths=(((0, 1),),),
-            **row_arrays([LpRow(coeffs=((0, 1.0),), sense="<=", rhs=0.0, tag="broken")]),
+            **row_arrays([Row(coeffs=((0, 1.0),), sense="<=", rhs=0.0)]),
             witness_at_upper=(0, 1),
         )
         with pytest.raises(ValueError, match="violates row 0"):
@@ -445,7 +455,7 @@ class TestKnownInstances:
 
     def test_crash_start_used(self):
         # witness: both vars at upper satisfies the row
-        row = LpRow(coeffs=((0, 1.0), (1, 1.0)), sense=">=", rhs=1.0, tag="cover")
+        row = Row(coeffs=((0, 1.0), (1, 1.0)), sense=">=", rhs=1.0)
         model = edge_model([row], [0, 1])
         solution = solve_lp(model)
         assert solution.status == "optimal"
@@ -454,8 +464,8 @@ class TestKnownInstances:
     def test_row_with_zero_rhs_is_kept(self):
         # x - f >= 0 binds once f >= 1 forces f up, so the optimum is 1
         rows = [
-            LpRow(coeffs=((0, 1.0), (1, -1.0)), sense=">=", rhs=0.0, tag="path-needs-edge"),
-            LpRow(coeffs=((1, 1.0),), sense=">=", rhs=1.0, tag="coverage"),
+            Row(coeffs=((0, 1.0), (1, -1.0)), sense=">=", rhs=0.0),
+            Row(coeffs=((1, 1.0),), sense=">=", rhs=1.0),
         ]
         model = LpModel(
             edges=((0, 1),), paths=(((0, 1),),), **row_arrays(rows), witness_at_upper=(0, 1)
@@ -488,7 +498,7 @@ class TestKnownInstances:
 
     def test_crash_start_rejects_infeasible_point(self):
         # all-at-upper violates the <= row, so the model is malformed
-        row = LpRow(coeffs=((0, 1.0), (1, 1.0)), sense="<=", rhs=1.0, tag="cap")
+        row = Row(coeffs=((0, 1.0), (1, 1.0)), sense="<=", rhs=1.0)
         model = edge_model([row], [0, 1])
         with pytest.raises(ValueError, match="violates row 0"):
             solve_lp(model)
@@ -687,3 +697,8 @@ class TestDump:
         # p(1) = 0, so vertex 0's only coverage row is level 2's, after 12 others
         assert " c12: f_0_1_0 + f_0_1_1 + f_0_2_0 + f_0_2_1 >= 2\n" in text
         assert " c15:" not in text
+
+    def test_row_with_two_finite_bounds_is_rejected(self):
+        model = rows_only(start=(0, 1), col=(0,), coeff=(1.0,), lower=(0.0,), upper=(1.0,))
+        with pytest.raises(ValueError, match="^row 0 has two finite bounds$"):
+            dump_lp(model)
