@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 import time
 import warnings
@@ -105,6 +106,15 @@ def _integer(text: str) -> int:
     raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
+def _float(text: str) -> float:
+    """A float option's value in ASCII: an optional ``-`` and a decimal
+    with an optional exponent, or ``inf`` or ``nan``. ``float()`` alone
+    also takes ``+10``, ``1_0``, `` 10`` and non-ASCII digits."""
+    if re.fullmatch(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?|-?inf|-?nan", text):
+        return float(text)
+    raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+
+
 def _family(text: str) -> list[int]:
     """``--family N,M,COUNT`` as three :func:`_integer` fields."""
     fields = text.split(",")
@@ -140,8 +150,8 @@ def _write(path: str | Path, fill: Callable[[TextIO], object]) -> None:
 
 def cmd_compress(args) -> int:
     pf = _parse_pf(args.p)
-    g = _load_graph(args.input)
     sa = _sa_params(args)
+    g = _load_graph(args.input)
     result = run_strategy(g, pf, args.ordering, seed=args.seed, sa_params=sa)
     gc = Graph.from_edges(g.n, result.kept, labels=g.labels)
     report = verify(g, gc, pf)
@@ -335,8 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_sa_flags(parser) -> None:
     defaults = SaParams()
     parser.add_argument("--sa-iters", type=_integer, default=defaults.iterations)
-    parser.add_argument("--sa-t0", type=float, default=defaults.t0)
-    parser.add_argument("--sa-alpha", type=float, default=defaults.alpha)
+    parser.add_argument("--sa-t0", type=_float, default=defaults.t0)
+    parser.add_argument("--sa-alpha", type=_float, default=defaults.alpha)
 
 
 def main(argv=None) -> int:

@@ -190,6 +190,23 @@ def _degree_rules(
     return tuple(need1), tuple(action)  # shared by every caller: read-only
 
 
+@lru_cache(maxsize=16)
+def _level_needs(ratios: tuple[tuple[int, int], ...], size: int) -> tuple[tuple[int, ...], ...]:
+    """``needs[deg]``: the thresholds ceil(p(i)·deg) of levels i = 2..t at
+    each reference degree ``deg`` < ``size``, sized as in
+    :func:`_degree_rules`, which :func:`_mask_levels_ok` compares its
+    counts with. Only the mask scan reads them, so ``size`` stays within
+    :data:`MASK_SCAN_MAX_N`: at a million degrees they would hold ~90 MB.
+    """
+    return tuple(tuple(-(-num * deg // den) for num, den in ratios[1:]) for deg in range(size))
+
+
+@lru_cache(maxsize=16)
+def _bits(n: int) -> tuple[int, ...]:
+    """``1 << w`` for every vertex w < n: the mask scan's one-bit rows."""
+    return tuple(1 << w for w in range(n))
+
+
 def _scan(
     n: int,
     edges: Sequence[Edge],
@@ -341,24 +358,22 @@ def _list_scan(
     return flags
 
 
-def _mask_levels_ok(
-    x: int, deg: int, ref: int, kept: list[int], ratios: Sequence[tuple[int, int]]
-) -> bool:
+def _mask_levels_ok(x: int, ref: int, kept: list[int], needs: tuple[int, ...]) -> bool:
     """:func:`_list_levels_ok` on bitmask rows.
 
-    ``ref`` is x's reference row as a mask, ``deg`` its popcount, and
-    ``kept[w]`` w's kept row. Each level from 2 up ORs the kept rows of
-    the frontier into the reached mask and counts the reference
-    neighbours in it; the check stops once that count reaches
-    ceil(p(t)·deg).
+    ``ref`` is x's reference row as a mask, ``kept[w]`` w's kept row, and
+    ``needs`` the thresholds ceil(p(i)·deg) of levels i = 2..t at x's
+    reference degree deg, from :func:`_level_needs`. Each level from 2
+    up ORs the kept rows of the frontier into the reached mask and counts
+    the reference neighbours in it; the check stops once that count
+    reaches ceil(p(t)·deg).
     """
-    num, den = ratios[-1]
-    need = -(-num * deg // den)
     frontier = kept[x]  # level 1: every kept neighbour is a reference one
-    if frontier.bit_count() >= need:
-        return True
+    if not needs or frontier.bit_count() >= needs[-1]:
+        return True  # t = 1, or level 1 already reaches ceil(p(t)·deg)
+    need = needs[-1]
     reach = frontier  # x joins it at level 2; x's bit is in no reference row
-    for num, den in ratios[1:]:
+    for level_need in needs:
         nxt = 0
         while frontier:
             low = frontier & -frontier
@@ -369,7 +384,7 @@ def _mask_levels_ok(
         count = (reach & ref).bit_count()
         if count >= need:
             return True
-        if count * den < num * deg:
+        if count < level_need:
             return False
     raise AssertionError("level t passes only once the count reaches need")
 
@@ -384,39 +399,58 @@ def _mask_scan(
     """:func:`_scan` on bitmask rows: bit w of ``ref[x]`` (``kept[x]``) is
     set when (x, w) is a reference (kept) edge, so a row's popcount is
     x's reference (kept) degree. The probe is ``kept[u] & kept[v]`` and
-    the depth-t check :func:`_mask_levels_ok`."""
-    ratios = pf.ratios
-    need1, action = _degree_rules(ratios, min(n, len(edges) + 1))
+    the depth-t check :func:`_mask_levels_ok`.
 
-    bit = [1 << w for w in range(n)]  # Python ints, whatever type the ids are
+    A step decides its endpoints in straight-line code. The keep flag is
+    an OR of tests that each read one endpoint, so their order cannot
+    change it: level 1 and a ``_PROBE_THEN_KEEP`` rule at u, then the
+    same at v, then the depth-t checks, so no BFS runs while a cheaper
+    test can still keep the edge. v's degree is read only once u's tests
+    pass, and the level-1 tests are skipped at p(1) = 0, where no
+    threshold is above 0.
+    """
+    size = min(n, len(edges) + 1)
+    need1, action = _degree_rules(pf.ratios, size)
+    needs = _level_needs(pf.ratios, size)
+    level1 = need1 and need1[-1]  # need1 is non-decreasing: 0 means every entry is
+
+    bit = _bits(n)
     ref = [0] * n
     kept = [0] * n
-    flags: list[bool] = []
     i, j = swap  # without prev, i = 0: every position is decided
-    for k, edge in enumerate(edges):
-        u, v = edge
+    for k in range(i):  # the prefix before the first swap keeps prev's edges
+        u, v = edges[k]
         ref[u] |= bit[v]
         ref[v] |= bit[u]
-        if k < i:
-            keep = prev[k]
+        if prev[k]:
+            kept[u] |= bit[v]
+            kept[v] |= bit[u]
+    flags = list(prev[:i]) if i else []
+    for k in range(i, len(edges)):
+        u, v = edges[k]
+        ref_u = ref[u] = ref[u] | bit[v]
+        ref_v = ref[v] = ref[v] | bit[u]
+        kept_u = kept[u]
+        kept_v = kept[v]
+        deg_u = ref_u.bit_count()
+        rule_u = action[deg_u]
+        if level1 and kept_u.bit_count() < need1[deg_u]:
+            keep = True
+        elif rule_u == _PROBE_THEN_KEEP and not kept_u & kept_v:
+            keep = True
         else:
-            keep = False
-            shared = None  # the probe's answer, once it has run
-            for x in edge:
-                d = ref[x].bit_count()
-                if kept[x].bit_count() < need1[d]:
-                    keep = True
-                    break
-                rule = action[d]
-                if rule == _PASS:
-                    continue
-                if shared is None:
-                    shared = kept[u] & kept[v]
-                if shared:
-                    continue
-                if rule == _PROBE_THEN_KEEP or not _mask_levels_ok(x, d, ref[x], kept, ratios):
-                    keep = True
-                    break
+            deg_v = ref_v.bit_count()
+            rule_v = action[deg_v]
+            if level1 and kept_v.bit_count() < need1[deg_v]:
+                keep = True
+            elif rule_u == _PROBE_THEN_KEEP or not (rule_u or rule_v) or kept_u & kept_v:
+                keep = False  # at a probe-then-keep rule, u's probe found a shared neighbour
+            elif rule_v == _PROBE_THEN_KEEP:
+                keep = True
+            else:
+                keep = (rule_u != _PASS and not _mask_levels_ok(u, ref_u, kept, needs[deg_u])) or (
+                    rule_v != _PASS and not _mask_levels_ok(v, ref_v, kept, needs[deg_v])
+                )
         flags.append(keep)
         if keep:
             kept[u] |= bit[v]

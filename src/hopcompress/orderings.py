@@ -20,13 +20,13 @@ from .errors import SizeLimitError
 from .graph import Edge, Graph, edge_paths
 from .lp import _highs_core, build_lp, solve_lp
 
-# swap trials times edges that sa_order may run, about 8-56 s: a trial
-# rescans at most the m edges of the order, at the 0.8 us an edge-trial
-# measured on 2 cores on zachary, 1.1 us on G(200,1000), 1.6 us on
-# G(1000,5000), 3.6 us on G(3000,30000) and 5.6 us on a 198 110-edge
-# co-author graph at p=0,1/2; 1000 trials make 5M on G(1000,5000) (8 s)
-# and would make 30M on G(3000,30000) (~110 s) and 198M on the co-author
-# graph (~18 min)
+# swap trials times edges that sa_order may run, about 5-75 s: a trial
+# rescans at most the m edges of the order, at the 0.5 us an edge-trial
+# measured on 2 cores on zachary, 0.9 us on G(200,1000), 1.25 us on
+# G(1000,5000), 3.9-4.6 us on G(3000,30000) and 7.5 us on a 198 110-edge
+# co-author graph at p=0,1/2; 1000 trials make 5M on G(1000,5000) (6 s)
+# and would make 30M on G(3000,30000) (~2 min) and 198M on the co-author
+# graph (~25 min)
 MAX_SA_EDGE_TRIALS = 10_000_000
 
 # every accepted strategy name -> its canonical name; the CLI choices and
@@ -148,6 +148,29 @@ def lp_order(g: Graph, pf: ProportionFunction) -> tuple[Edge, ...]:
     return _descending(solve_lp(build_lp(g, pf)).edge_values)
 
 
+def _swap_positions(rng: random.Random, m: int) -> tuple[int, int]:
+    """``sorted(rng.sample(range(m), 2))`` for ``m`` >= 2: two distinct
+    positions, drawn with the calls ``sample`` makes, so the stream is
+    left where ``sample`` leaves it.
+
+    For two picks CPython's ``sample`` draws from a pool when m <= 21:
+    first a = randrange(m), then an index randrange(m - 1) into the pool,
+    whose slot a now holds m - 1. Above 21 it draws randrange(m) until
+    the draw differs from a. Each randrange(k) is one ``_randbelow(k)``,
+    the call ``sample`` makes.
+    """
+    a = rng.randrange(m)
+    if m <= 21:
+        b = rng.randrange(m - 1)
+        if b == a:
+            b = m - 1
+    else:
+        b = rng.randrange(m)
+        while b == a:
+            b = rng.randrange(m)
+    return (a, b) if a < b else (b, a)
+
+
 def sa_order(g: Graph, pf: ProportionFunction, params: SaParams) -> tuple[Edge, ...]:
     """The best order a simulated-annealing search over the ordering space finds.
 
@@ -192,7 +215,7 @@ def sa_order(g: Graph, pf: ProportionFunction, params: SaParams) -> tuple[Edge, 
 
     temperature = params.t0
     for _ in range(params.iterations):
-        i, j = sorted(rng.sample(range(m), 2))
+        i, j = _swap_positions(rng, m)
         candidate = list(current)
         candidate[i], candidate[j] = candidate[j], candidate[i]
         candidate_flags = _scan(g.n, candidate, pf, flags, (i, j))

@@ -111,6 +111,10 @@ class TestCompress:
     def test_missing_input_is_io_error(self):
         assert main(["compress", "/nonexistent/g.txt", "--p", "1"]) == 2
 
+    def test_sa_params_checked_before_the_input_is_read(self, capsys):
+        assert main(["compress", "/nonexistent/g.txt", "--p", "1/2", "--sa-t0", "0"]) == 1
+        assert capsys.readouterr().err == "error: invalid SA parameters: t0 must be positive and finite\n"
+
     def test_report_written(self, triangle_file, tmp_path):
         report = tmp_path / "report.json"
         code = main(
@@ -667,6 +671,39 @@ class TestArgumentHandling:
         assert err.splitlines()[-1] == reason
         assert not (tmp_path / "gen").exists()
 
+    @pytest.mark.parametrize(
+        "command",
+        [["compress", "triangle", "--ordering", "sa"], ["bench", "--family", "5,4,1", "--strategies", "sa"]],
+        ids=lambda command: command[0],
+    )
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("--sa-t0", "1_0"),
+            ("--sa-t0", "+10"),
+            ("--sa-t0", " 10"),
+            ("--sa-t0", "\u0661\u0660"),
+            ("--sa-alpha", "0.9_9"),
+            ("--sa-alpha", "+0.5"),
+            ("--sa-alpha", "0.5 "),
+            ("--sa-alpha", "Infinity"),
+        ],
+    )
+    def test_float_options_take_ascii_spellings_only(self, command, option, value, capsys):
+        assert main([*command, "--p", "1", option, value]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: ")
+        reason = f"hopcompress {command[0]}: error: argument {option}: invalid float value: {value!r}"
+        assert err.splitlines()[-1] == reason
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [("10", 10.0), ("0.5", 0.5), (".5", 0.5), ("5.", 5.0), ("-1", -1.0), ("1e-1", 0.1), ("2E+1", 20.0)],
+    )
+    def test_float_options_take_decimals(self, text, value):
+        args = build_parser().parse_args(["compress", "zachary", "--p", "1", "--sa-t0", text, "--sa-alpha", text])
+        assert args.sa_t0 == args.sa_alpha == value
+
     def test_family_needs_three_fields(self, capsys):
         assert main(["bench", "--family", "8,12", "--p", "1"]) == 1
         err = capsys.readouterr().err
@@ -786,6 +823,11 @@ class TestDrawnArguments:
     # SA ran 3 * 10**9 edge-trials with no work bound
     @example(run=({}, ["compress", "triangle", "--p", "1/2", "--ordering", "sa", "--sa-iters", "1000000000"]))
     @example(run=({}, ["bench", "--family", "5,4,1", "--p", "1/2", "--strategies", "sa", "--sa-iters", "1000000000"]))
+    # float() took these spellings of the SA schedule
+    @example(run=({}, ["compress", "triangle", "--p", "1/2", "--ordering", "sa", "--sa-t0", " \u0661\u0660"]))
+    @example(run=({}, ["bench", "--family", "5,4,1", "--p", "1/2", "--sa-t0", "1_0", "--sa-alpha", "+0.5"]))
+    # a bad SA flag was refused only after the input was read
+    @example(run=({}, ["compress", "@missing", "--p", "1/2", "--sa-t0", "0"]))
     def test_exits_cleanly(self, run, tmp_path, capsys):
         # exit 3 would be an internal error; anything raised is a crash
         files, argv = run

@@ -1,5 +1,8 @@
 import dataclasses
+import math
+import os
 import pickle
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -21,6 +24,7 @@ import hopcompress.compress as compress_module
 from hopcompress.compress import (
     MASK_SCAN_MAX_N,
     _degree_rules,
+    _level_needs,
     _list_levels_ok,
     _list_scan,
     _mask_levels_ok,
@@ -193,18 +197,19 @@ class TestDepthChecks:
         expected = oracle_short_level(gc.adjacency, x, base, pf.props) is None
         assert _list_levels_ok(x, len(base), base, gc.adjacency, ratios) == expected
         masks = [sum(1 << w for w in row) for row in gc.adjacency]
-        assert _mask_levels_ok(x, len(base), sum(1 << w for w in base), masks, ratios) == expected
+        needs = tuple(math.ceil(p * len(base)) for p in pf.props[1:])
+        assert _mask_levels_ok(x, sum(1 << w for w in base), masks, needs) == expected
 
     def test_distance_two_neighbor_counts(self):
         # x = 0 keeps neighbour 1; neighbour 2 is two hops away
         kept = [[1], [0, 2], [1]]
         assert _list_levels_ok(0, 2, [1, 2], kept, [(1, 2), (1, 1)])
-        assert _mask_levels_ok(0, 2, 0b110, [0b10, 0b101, 0b10], [(1, 2), (1, 1)])
+        assert _mask_levels_ok(0, 0b110, [0b10, 0b101, 0b10], (2,))
 
     def test_unreachable_neighbor_fails_level_two(self):
         # p = 0,1: level 1 passes with nothing kept, level 2 fails
         assert not _list_levels_ok(0, 1, [1], [[], []], [(0, 1), (1, 1)])
-        assert not _mask_levels_ok(0, 1, 0b10, [0, 0], [(0, 1), (1, 1)])
+        assert not _mask_levels_ok(0, 0b10, [0, 0], (1,))
 
 
 class TestCompressBasic:
@@ -416,6 +421,42 @@ class TestScan:
         with pytest.raises(Built):
             scan(10**6, [(0, 1)], ProportionFunction.parse("0,1/2"))
         assert sizes == [2, 2]
+
+    def test_level_needs_sized_by_the_edges(self, monkeypatch):
+        # the mask scan's thresholds of levels 2..t, sized like the rules
+        class Built(Exception):
+            pass
+
+        tables = []
+
+        def recording(ratios, size):
+            tables.append(_level_needs(ratios, size))
+            raise Built
+
+        monkeypatch.setattr(compress_module, "_level_needs", recording)
+        with pytest.raises(Built):
+            _mask_scan(MASK_SCAN_MAX_N, [(0, 1), (1, 2)], ProportionFunction.parse("0,1/3,1/2"))
+        assert tables == [((0, 0), (1, 1), (1, 1))]
+
+    @pytest.mark.parametrize("p", ["1/2", "0,1/2", "1/3,2/3,1", "0,0,1/2", "1/7,3/7,5/7,1"])
+    def test_level_needs_are_ceilings(self, p):
+        pf = ProportionFunction.parse(p)
+        needs = _level_needs(pf.ratios, 50)
+        assert needs == tuple(tuple(math.ceil(q * deg) for q in pf.props[1:]) for deg in range(50))
+
+    def test_tables_are_built_on_first_scan_not_at_import(self):
+        # import time is part of every CLI call: the cached tables wait for a scan
+        code = (
+            "import hopcompress\n"
+            "import hopcompress.compress as c\n"
+            "tables = (c._degree_rules, c._level_needs, c._bits)\n"
+            "assert [f.cache_info().currsize for f in tables] == [0, 0, 0]\n"
+            "c._scan(3, [(0, 1), (1, 2)], c.ProportionFunction.parse('0,1/2'))\n"
+            "assert [f.cache_info().currsize for f in tables] == [1, 1, 1]\n"
+        )
+        src = os.path.dirname(os.path.dirname(compress_module.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
     @pytest.mark.parametrize(
         ("n", "p", "expected"),

@@ -32,7 +32,7 @@ from hopcompress import (
 import hopcompress.graph as graph_module
 import hopcompress.orderings as orderings_module
 from hopcompress.graph import _simple_paths
-from hopcompress.orderings import STRATEGIES
+from hopcompress.orderings import STRATEGIES, _swap_positions
 
 from conftest import proportion_functions, recursive_simple_paths, small_graphs
 
@@ -292,6 +292,18 @@ class TestRunStrategy:
         assert result.kept == compress_basic(diamond, pf, lp_order(diamond, pf)).kept
 
 
+class TestSwapPositions:
+    """SA's swap draw must repeat ``random.sample``'s pair and stream."""
+
+    @pytest.mark.parametrize("m", [*range(2, 101), 1_000, 198_110, 2**40])
+    def test_matches_random_sample(self, m):
+        for seed in range(40):
+            drawn, sampled = random.Random(seed), random.Random(seed)
+            for _ in range(5):
+                assert _swap_positions(drawn, m) == tuple(sorted(sampled.sample(range(m), 2)))
+                assert drawn.random() == sampled.random()  # SA's acceptance draw
+
+
 class TestSaCompress:
     def test_zero_iterations_equals_initial_order(self, diamond):
         pf = ProportionFunction.parse("1/2,1")
@@ -321,13 +333,16 @@ class TestSaCompress:
         result = sa_compress(triangle, ProportionFunction.parse("0,1"), SaParams(seed=4, iterations=10))
         assert result.strategy == "sa" and result.seed == 4
 
-    @pytest.mark.parametrize("p", ["0,1/2", "1/2,1", "1/3,2/3,1", "1"])
+    @pytest.mark.parametrize("p", ["0,1/2", "1/2,1", "1/3,2/3,1", "1", "0,0,1/2"])
     def test_matches_full_rescan_oracle(self, p, monkeypatch):
         pf = ProportionFunction.parse(p)
+        # G(40, 100) spread over 1100 vertex ids, past MASK_SCAN_MAX_N: the list scan
+        sparse = Graph.from_edges(1100, [(27 * u + 13, 27 * v + 13) for u, v in gen_gnm(40, 100, 5).edges()])
         graphs = [gen_gnm(20, 60, seed) for seed in (1, 2, 3)] + [
             gen_gnm(12, 30, 4),
             Graph.from_edges(2, [(0, 1)]),
             Graph.from_edges(3, []),
+            sparse,
         ]
         final_orders = []
 
