@@ -5,7 +5,7 @@ that, at every hop level i up to a horizon t, each vertex keeps at least
 a chosen proportion p(i) of its original neighbors within i hops. Ships
 the incremental compressor, three smarter edge orderings (relaxed LP,
 local edge connectivity, simulated annealing), an independent verifier,
-evaluation metrics with a brute-force oracle, and synthetic generators.
+evaluation metrics, the exact minimum by HiGHS, and synthetic generators.
 """
 
 from .compress import (
@@ -30,13 +30,12 @@ from .evaluate import (
     SpHistogram,
     StretchReport,
     bench_orderings,
-    brute_force_optimal,
     compression_ratio,
     sp_histogram,
     stretch_check,
 )
 from .graph import Graph, canonical_edge, load_edge_list, write_edge_list
-from .lp import LpModel, LpSolution, build_lp, dump_lp, solve_lp
+from .lp import LpModel, LpSolution, build_lp, dump_lp, exact_minimum, solve_lp
 from .orderings import (
     SaParams,
     ec_order,
@@ -71,7 +70,6 @@ __all__ = [
     "VerificationReport",
     "Violation",
     "bench_orderings",
-    "brute_force_optimal",
     "build_lp",
     "builtin",
     "canonical_edge",
@@ -80,6 +78,7 @@ __all__ = [
     "dump_lp",
     "ec_order",
     "ec_scores",
+    "exact_minimum",
     "gen_gnm",
     "load_edge_list",
     "lp_order",

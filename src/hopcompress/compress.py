@@ -21,19 +21,21 @@ from .graph import Edge, Graph, _edge_rows, canonical_edge
 
 
 def parse_proportion(text: str) -> Fraction:
-    """Parse one proportion given as a decimal ("0.5") or ratio ("1/2").
+    """Parse one proportion given as a decimal ("0.5", "1.", ".5") or ratio ("1/2").
 
-    A decimal with an exponent is refused before ``Fraction`` expands it
-    into a power of ten: "1e-5000" gives a denominator too long to print,
-    and "1e-999999999" one of a billion digits. Other text with an "e"
-    ("one") gets ``Fraction``'s own message. A denominator with more
-    digits than Python's int-to-str limit is refused too, since a report
-    could not print it ("0.0…01" with 4300 decimals has 4301).
+    Only ASCII digits, one point or one slash are taken: ``Fraction`` would
+    also take signs, spaces, "_" and non-ASCII digits ("\u0661/\u0662").
+    A decimal with an exponent gets its own message, as ``Fraction`` would
+    expand "1e-999999999" into a denominator of a billion digits. A
+    denominator with more digits than Python's int-to-str limit is refused
+    too, since a report could not print it ("0.0…01" with 4300 decimals has 4301).
     """
     if re.fullmatch(r"\s*[-+]?(?=\.?\d)[\d_]*(\.[\d_]*)?e[-+]?[\d_]+\s*", text, re.IGNORECASE):
         raise ValueError(f"exponent in {text!r}; write a decimal or a ratio")
+    if not re.fullmatch(r"[0-9]+(\.[0-9]*|/[0-9]+)?|\.[0-9]+", text):
+        raise ValueError(f"{text!r} is not a decimal or a ratio of ASCII digits")
     try:
-        value = Fraction(text.strip())
+        value = Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
     if not 0 <= value <= 1:

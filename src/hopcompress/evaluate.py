@@ -1,4 +1,4 @@
-"""Metrics, oracles, and the ordering benchmark."""
+"""Metrics and the ordering benchmark."""
 
 from __future__ import annotations
 
@@ -7,16 +7,14 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterator
 
 from .compress import ProportionFunction, require_subgraph, verify
 from .datagen import FamilySpec, gen_gnm
-from .errors import SizeLimitError, UnsoundOutputError
+from .errors import UnsoundOutputError
 from .graph import Graph
 from .orderings import SaParams, normalize_strategy, run_strategy
 
-BRUTE_FORCE_EDGE_LIMIT = 20
 BENCH_MAX_N = 10**6  # each vertex costs ~140 bytes: one edge at this n took ~4 s, ~150 MB
 
 
@@ -112,27 +110,6 @@ def stretch_check(g: Graph, gc: Graph, t: int) -> StretchReport:
                 break
         worst = max(worst, float(depth))
     return StretchReport(ok=worst <= t, max_stretch=worst)
-
-
-def brute_force_optimal(g: Graph, pf: ProportionFunction) -> tuple[int, Graph]:
-    """Exhaustive minimum kept-edge count, with one witness subgraph.
-
-    Enumerates edge subsets by ascending cardinality and returns the
-    first that verifies; adding edges never breaks a constraint, so the
-    first hit is a true minimum. Guarded to :data:`BRUTE_FORCE_EDGE_LIMIT` edges.
-    """
-    if g.m > BRUTE_FORCE_EDGE_LIMIT:
-        raise SizeLimitError(
-            f"{g.m} edges exceeds the brute-force guard of {BRUTE_FORCE_EDGE_LIMIT}"
-        )
-    edges = tuple(g.edges())
-    start = -(-(g.m * pf.props[0].numerator) // pf.props[0].denominator)  # ceil
-    for k in range(start, g.m + 1):
-        for subset in combinations(edges, k):
-            candidate = Graph.from_edges(g.n, subset)
-            if verify(g, candidate, pf).ok:
-                return k, candidate
-    raise AssertionError("the full edge set always verifies")  # pragma: no cover
 
 
 @dataclass(frozen=True)

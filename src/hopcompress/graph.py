@@ -7,6 +7,7 @@ be written back in the caller's id space.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from bisect import bisect_left, insort
 from typing import IO, Iterable, Iterator, Sequence
@@ -38,6 +39,13 @@ class Graph:
     __slots__ = ("n", "m", "adjacency", "labels", "_edges")
 
     def __init__(self, adjacency: Sequence[Iterable[int]], labels: Sequence[int] | None = None):
+        if labels is not None:  # as load_edge_list makes them, so write_edge_list can write them back
+            try:
+                labels = tuple(map(operator.index, labels))
+            except TypeError:
+                raise ValueError("labels must be integers") from None
+            if any(a >= b for a, b in zip((-1, *labels), labels)):
+                raise ValueError("labels must be non-negative and strictly ascending")
         self._assign(adjacency, labels)
         adj = self.adjacency
         n = self.n

@@ -1,4 +1,4 @@
-"""Relaxed linear program whose edge scores drive an ordering.
+"""Relaxed linear program whose edge scores drive an ordering; integral, the exact minimum.
 
 One variable x_e per edge says how much the edge is worth keeping; one
 variable f_w per bounded-length simple path between the endpoints of an
@@ -26,16 +26,19 @@ import importlib.machinery
 import importlib.util
 import math
 import pathlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import ClassVar
 
-from .compress import ProportionFunction
-from .errors import SizeLimitError
+from .compress import ProportionFunction, verify
+from .errors import SizeLimitError, UnsoundOutputError
 from .graph import Edge, Graph, Path, edge_paths
 
 # HiGHS needs ~18 s for the 13 195 paths of K_14 at t=3 and ~12 s for
 # the 4 877 of G(40,200); K_60 at t=3 would ask for ~6M paths
 MAX_PATH_VARS = 10_000
+# exact_minimum's branch and bound took 3–4 820 nodes on family-g20's 30 G(20,60) at p=0,1/2
+# (1–44 s; 7.8–9.1 ms a node on the deepest, 2 cores) and 1 or 15 on zachary: ~1.5 min at the cap
+MAX_MIP_NODES = 10_000
 
 
 @dataclass(frozen=True)
@@ -178,6 +181,24 @@ def build_lp(g: Graph, pf: ProportionFunction) -> LpModel:
     )
 
 
+def exact_minimum(g: Graph, pf: ProportionFunction) -> tuple[int, Graph]:
+    """The fewest edges a valid kept set can have, and one such subgraph: :func:`build_lp`'s
+    model with integral columns, where a path counts only if all its edges are kept. Past its
+    guards or :data:`MAX_MIP_NODES` raises SizeLimitError; a witness (x_e > 0.5) that fails
+    :func:`~hopcompress.compress.verify` raises UnsoundOutputError."""
+    import numpy as np
+
+    model = build_lp(g, pf)
+    # an integral sum meets p·deg iff it meets the ceiling, which no tolerance can blur
+    model = replace(model, lower=np.ceil(model.lower))
+    costs = (np.arange(model.num_vars) < len(model.edges)).astype(float)  # 1 per edge
+    x = _highs_solve(costs, model, integral=True)[0]
+    witness = Graph.from_edges(g.n, (e for e, v in zip(model.edges, x) if v > 0.5))
+    if not verify(g, witness, pf).ok:
+        raise UnsoundOutputError("the exact minimum's witness fails verification")
+    return witness.m, witness
+
+
 def solve_lp(model: LpModel) -> LpSolution:
     """Solve the relaxation with HiGHS's dual simplex; deterministic for a fixed model.
 
@@ -247,12 +268,13 @@ _HIGHS_OPTIONS = (
 )
 
 
-def _highs_solve(costs, model: LpModel):
+def _highs_solve(costs, model: LpModel, integral: bool = False):
     """min costs.x subject to the rows of ``model`` and 0 <= x <= 1, by HiGHS.
 
     Returns (x, objective, iterations) of the optimum. A model without
     columns is optimal at zero. Any other HiGHS status than optimal
-    raises SizeLimitError.
+    raises SizeLimitError. ``integral`` makes every column 0 or 1, solved
+    to a proven optimum within :data:`MAX_MIP_NODES` branch-and-bound nodes.
     """
     import numpy as np
 
@@ -261,15 +283,16 @@ def _highs_solve(costs, model: LpModel):
     start = np.array(model.start, dtype=np.int32)
     col = np.array(model.col, dtype=np.int32)
     highs = core._Highs()
-    for name, value in _HIGHS_OPTIONS:
+    mip = (("mip_rel_gap", 0.0), ("mip_max_nodes", MAX_MIP_NODES)) if integral else ()
+    for name, value in _HIGHS_OPTIONS + mip:
         if highs.setOptionValue(name, value) != core.HighsStatus.kOk:
             raise RuntimeError(f"HiGHS rejected option {name}={value!r}")
-    # the C API's array form: one start per row (HiGHS appends nnz), all columns continuous
+    # the C API's array form: one start per row (HiGHS appends nnz), then each column's integrality
     status = highs.passModel(
         n, m, col.size, core.MatrixFormat.kRowwise, core.ObjSense.kMinimize, 0.0,
         costs, np.zeros(n), np.ones(n), np.array(model.lower, dtype=float),
         np.array(model.upper, dtype=float), start[:-1], col,
-        np.array(model.coeff, dtype=float), np.zeros(n, dtype=np.int32),
+        np.array(model.coeff, dtype=float), np.full(n, integral, dtype=np.int32),
     )
     if status == core.HighsStatus.kError:
         raise RuntimeError("HiGHS rejected the LP model")
@@ -278,9 +301,10 @@ def _highs_solve(costs, model: LpModel):
     if status == core.HighsModelStatus.kModelEmpty:
         return np.zeros(n), 0.0, 0
     if status != core.HighsModelStatus.kOptimal:
+        hint = (f"past the exact minimum's guard of {MAX_MIP_NODES} nodes" if integral
+                else "use the ec or random ordering")
         raise SizeLimitError(
-            f"HiGHS ended with status {status.name} ({highs.modelStatusToString(status)}); "
-            "use the ec or random ordering"
+            f"HiGHS ended with status {status.name} ({highs.modelStatusToString(status)}); {hint}"
         )
     info = highs.getInfo()
     x = np.array(highs.getSolution().col_value)

@@ -88,6 +88,19 @@ def oracle_satisfies(g: Graph, gc: Graph, pf: ProportionFunction) -> bool:
     return not oracle_violations(g, gc, pf)
 
 
+def oracle_minimum(g: Graph, pf: ProportionFunction) -> int:
+    """Fewest edges of a subgraph that satisfies ``pf``: every edge subset in
+    ascending size, checked by :func:`oracle_satisfies`. Independent of the
+    LP model and of verify(); at most 12 edges, 4 096 subsets."""
+    edges = list(g.edges())
+    assert len(edges) <= 12, f"{len(edges)} edges is too many to enumerate"
+    for k in range(len(edges) + 1):
+        for subset in combinations(edges, k):
+            if oracle_satisfies(g, Graph.from_edges(g.n, subset), pf):
+                return k
+    raise AssertionError("the full edge set always satisfies pf")
+
+
 @st.composite
 def small_graphs(draw, min_n: int = 2, max_n: int = 7):
     n = draw(st.integers(min_n, max_n))

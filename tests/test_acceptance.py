@@ -19,11 +19,11 @@ from hopcompress import (
     Graph,
     ProportionFunction,
     SaParams,
-    brute_force_optimal,
     builtin,
     build_lp,
     compress_basic,
     compression_ratio,
+    exact_minimum,
     gen_gnm,
     load_edge_list,
     random_order,
@@ -34,7 +34,7 @@ from hopcompress import (
     verify,
 )
 
-from conftest import oracle_distances
+from conftest import oracle_distances, oracle_minimum
 
 
 def report(criterion, ok, detail):
@@ -102,8 +102,8 @@ def test_criterion_2_spanner_property():
 
 
 def test_criterion_3_oracle_agreement():
-    diamond_best, _ = brute_force_optimal(builtin("diamond"), ProportionFunction.parse("1/2,1"))
-    triangle_best, _ = brute_force_optimal(builtin("triangle"), ProportionFunction.parse("0,1"))
+    diamond_best, _ = exact_minimum(builtin("diamond"), ProportionFunction.parse("1/2,1"))
+    triangle_best, _ = exact_minimum(builtin("triangle"), ProportionFunction.parse("0,1"))
     problems = []
     if diamond_best != 3:
         problems.append(f"diamond oracle {diamond_best} != 3")
@@ -125,7 +125,9 @@ def test_criterion_3_oracle_agreement():
         assert g.m <= 12
         for text in grid:
             pf = ProportionFunction.parse(text)
-            best, _ = brute_force_optimal(g, pf)
+            best, witness = exact_minimum(g, pf)
+            if best != oracle_minimum(g, pf) or not verify(g, witness, pf).ok:
+                problems.append(f"exact minimum {best} wrong on {g} pf={text}")
             for strategy in ("basic-random", "lp", "ec", "sa"):
                 result = run_strategy(
                     g, pf, strategy, seed=0, sa_params=SaParams(iterations=60)
@@ -207,7 +209,9 @@ def test_criterion_7_lp_sanity():
         for text in ("0,1", "1/2,1", "1,1"):
             pf = ProportionFunction.parse(text)
             lp = solve_lp(build_lp(g, pf))
-            best, _ = brute_force_optimal(g, pf)
+            best = oracle_minimum(g, pf)
+            if exact_minimum(g, pf)[0] != best:
+                problems.append(f"exact minimum differs from the oracle {best} on {g} pf={text}")
             if lp.objective > best + 1e-7:
                 problems.append(f"LP {lp.objective:.6f} above oracle {best} on {g} pf={text}")
     report(7, not problems, "x_e = 1 on the single edge; LP below oracle everywhere"

@@ -210,7 +210,13 @@ class TestCompress:
     def test_word_proportion_is_not_an_exponent(self, p, capsys):
         assert main(["compress", "zachary", "--p", p]) == 1
         err = capsys.readouterr().err
-        assert err == f"error: invalid --p value {p!r}: Invalid literal for Fraction: {p!r}\n"
+        assert err == f"error: invalid --p value {p!r}: {p!r} is not a decimal or a ratio of ASCII digits\n"
+
+    def test_proportion_takes_ascii_spellings_only(self, capsys):
+        assert main(["compress", "triangle", "--p", "\u0661/\u0662"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: invalid --p value '\u0661/\u0662': '\u0661/\u0662' is not a decimal or a ratio of ASCII digits\n"
 
     def test_unsound_output_is_internal_error(self, monkeypatch, capsys):
         broken = VerificationReport((Violation(vertex=5, level=2, required=Fraction(3), achieved=1),))
@@ -826,6 +832,8 @@ class TestDrawnArguments:
     # float() took these spellings of the SA schedule
     @example(run=({}, ["compress", "triangle", "--p", "1/2", "--ordering", "sa", "--sa-t0", " \u0661\u0660"]))
     @example(run=({}, ["bench", "--family", "5,4,1", "--p", "1/2", "--sa-t0", "1_0", "--sa-alpha", "+0.5"]))
+    # Fraction took this spelling of p
+    @example(run=({}, ["compress", "triangle", "--p", "\u0661/\u0662"]))
     # a bad SA flag was refused only after the input was read
     @example(run=({}, ["compress", "@missing", "--p", "1/2", "--sa-t0", "0"]))
     def test_exits_cleanly(self, run, tmp_path, capsys):

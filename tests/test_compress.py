@@ -167,6 +167,24 @@ class TestProportionFunction:
         with pytest.raises(ValueError):
             ProportionFunction.parse("")
 
+    @pytest.mark.parametrize(
+        "text",
+        ["\u0661/\u0662", "\u0660.\u0665", "1_0/2_0", "+1/2", "-0", " 1/2 ", "1/2\n", ".", "1/", "/2",
+         "1/2/3", "0x1", "0,+1"],
+        ids=ascii,
+    )
+    def test_takes_ascii_spellings_only(self, text):
+        # Fraction takes signs, surrounding whitespace, "_" and non-ASCII digits
+        with pytest.raises(ValueError, match=r" is not a decimal or a ratio of ASCII digits$"):
+            ProportionFunction.parse(text)
+
+    @pytest.mark.parametrize(
+        "text, value", [("1", 1), ("0", 0), ("0.5", Fraction(1, 2)), ("1.", 1), (".25", Fraction(1, 4)),
+                        ("2/4", Fraction(1, 2)), ("007/010", Fraction(7, 10))],
+    )
+    def test_takes_plain_decimals_and_ratios(self, text, value):
+        assert parse_proportion(text) == value
+
     @pytest.mark.parametrize("text", ["1e-2", "1E-5000", "0,5e9"])
     def test_rejects_exponents(self, text):
         with pytest.raises(ValueError, match="^exponent in "):

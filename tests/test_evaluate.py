@@ -21,9 +21,11 @@ from hopcompress import (
     SizeLimitError,
     StretchReport,
     bench_orderings,
-    brute_force_optimal,
+    builtin,
     compress_basic,
     compression_ratio,
+    exact_minimum,
+    gen_gnm,
     run_strategy,
     sp_histogram,
     stretch_check,
@@ -31,9 +33,10 @@ from hopcompress import (
 )
 
 import hopcompress.evaluate as evaluate_module
+import hopcompress.lp
 from hopcompress.evaluate import BENCH_MAX_N
 
-from conftest import oracle_distances, small_graphs
+from conftest import oracle_distances, oracle_minimum, proportion_functions, small_graphs
 
 
 class TestCompressionRatio:
@@ -146,24 +149,73 @@ class TestStretchCheck:
 
 
 class TestBruteForceOptimal:
+    """The optimum from exact_minimum, checked against conftest's brute-force
+    subset enumeration."""
+
     def test_diamond(self, diamond):
-        best, witness = brute_force_optimal(diamond, ProportionFunction.parse("1/2,1"))
-        assert best == 3
+        best, witness = exact_minimum(diamond, ProportionFunction.parse("1/2,1"))
+        assert best == 3 == oracle_minimum(diamond, ProportionFunction.parse("1/2,1"))
         assert witness.m == 3
         assert verify(diamond, witness, ProportionFunction.parse("1/2,1")).ok
 
     def test_triangle(self, triangle):
-        best, _ = brute_force_optimal(triangle, ProportionFunction.parse("0,1"))
-        assert best == 2
+        best, _ = exact_minimum(triangle, ProportionFunction.parse("0,1"))
+        assert best == 2 == oracle_minimum(triangle, ProportionFunction.parse("0,1"))
 
     def test_full_neighborhood_forces_identity(self, diamond):
-        best, _ = brute_force_optimal(diamond, ProportionFunction.parse("1"))
+        best, witness = exact_minimum(diamond, ProportionFunction.parse("1"))
         assert best == diamond.m
+        assert witness == diamond
 
-    def test_guard(self):
-        g = Graph.from_edges(30, [(i, i + 1) for i in range(29)])
-        with pytest.raises(SizeLimitError):
-            brute_force_optimal(g, ProportionFunction.parse("1"))
+    def test_guard(self, monkeypatch):
+        # scipy 1.17's HiGHS needs a cap of 4 nodes to prove this optimum of 4
+        g, pf = gen_gnm(6, 9, 0), ProportionFunction.parse("0,1/2")
+        monkeypatch.setattr(hopcompress.lp, "MAX_MIP_NODES", 4)
+        assert exact_minimum(g, pf)[0] == 4
+        monkeypatch.setattr(hopcompress.lp, "MAX_MIP_NODES", 3)
+        with pytest.raises(
+            SizeLimitError, match=r"kSolutionLimit .*; past the exact minimum's guard of 3 nodes$"
+        ):
+            exact_minimum(g, pf)
+
+    def test_guards_of_the_model_apply(self):
+        # K_60 at t = 3 would ask for ~6M path variables
+        with pytest.raises(SizeLimitError, match="exceed the path-search guard"):
+            exact_minimum(gen_gnm(60, 1770, 0), ProportionFunction.parse("0,0,1/2"))
+
+    @pytest.mark.parametrize("p, optimum", [("1/2,1", 46), ("0,1/2", 31)])
+    def test_zachary_optima(self, p, optimum):
+        g, pf = builtin("zachary"), ProportionFunction.parse(p)
+        best, witness = exact_minimum(g, pf)
+        assert best == optimum == witness.m
+        assert verify(g, witness, pf).ok
+
+    def test_same_witness_every_call(self):
+        g, pf = gen_gnm(7, 12, 0), ProportionFunction.parse("0,1/2")  # a 7-node search
+        assert exact_minimum(g, pf) == exact_minimum(g, pf)
+
+    @pytest.mark.parametrize("p", ["1/1000000", "0,1/100000000"])
+    def test_tiny_proportions_need_a_whole_neighbour(self, triangle, p):
+        # HiGHS's feasibility tolerance once let a coverage sum of 0 pass p·deg = 2e-6
+        pf = ProportionFunction.parse(p)
+        best, witness = exact_minimum(triangle, pf)
+        assert best == 2 == oracle_minimum(triangle, pf)
+        assert verify(triangle, witness, pf).ok
+
+    def test_edgeless_graph(self):
+        g = Graph.from_edges(3, [])
+        assert exact_minimum(g, ProportionFunction.parse("1")) == (0, g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        g=small_graphs(max_n=6).filter(lambda g: g.m <= 12),
+        pf=proportion_functions(max_t=3),
+    )
+    def test_matches_subset_enumeration(self, g, pf):
+        best, witness = exact_minimum(g, pf)
+        assert best == oracle_minimum(g, pf)
+        assert witness.m == best
+        assert verify(g, witness, pf).ok
 
     @settings(max_examples=15, deadline=None)
     @given(g=small_graphs(max_n=5), seed=...)
@@ -171,7 +223,7 @@ class TestBruteForceOptimal:
         from hopcompress import random_order
 
         pf = ProportionFunction.parse("0,1")
-        best, _ = brute_force_optimal(g, pf)
+        best, _ = exact_minimum(g, pf)
         result = compress_basic(g, pf, random_order(g, seed))
         assert result.kept_count() >= best
 

@@ -197,6 +197,23 @@ class TestGraphInvariants:
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
         assert 2 * g.m == sum(len(a) for a in g.adjacency)
 
+    # each of these would write a line the loader refuses, a self-loop, or
+    # lines out of canonical order
+    @pytest.mark.parametrize(
+        "labels", [[5, 5], [9, 3], [-1, 2], ["a", "b"], [1.5, 2]], ids=repr
+    )
+    def test_rejects_labels_the_writer_cannot_write_back(self, labels):
+        with pytest.raises(ValueError, match="^labels must be "):
+            Graph.from_edges(2, [(0, 1)], labels=labels)
+
+    def test_integer_labels_are_stored_as_ints(self):
+        np = pytest.importorskip("numpy")
+        g = Graph.from_edges(2, [(0, 1)], labels=np.array([3, 7]))
+        assert g.labels == (3, 7) and all(type(label) is int for label in g.labels)
+        out = io.StringIO()
+        write_edge_list(g, out)
+        assert load(out.getvalue()) == g
+
 
 def simple_paths(g, u, v, max_len):
     return _simple_paths(g, u, v, max_len, math.inf)[0]
