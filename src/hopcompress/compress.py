@@ -166,41 +166,29 @@ _PASS, _PROBE_THEN_BFS, _PROBE_THEN_KEEP = 0, 1, 2
 @lru_cache(maxsize=16)
 def _degree_rules(
     ratios: tuple[tuple[int, int], ...], size: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The scan's decisions at each reference degree ``deg`` < ``size``,
-    for the (numerator, denominator) pairs ``ratios`` of p(1..t). A scan
-    of m edges on n vertices reaches no degree above min(n - 1, m), so it
-    asks for ``size`` = min(n, m + 1).
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The scans' one table: thresholds and decisions at each reference
+    degree ``deg`` < ``size`` for the (numerator, denominator) pairs
+    ``ratios`` of p(1..t). No reference degree passes the graph's largest.
 
-    Returns ``(need1, action)``: ``need1[deg]`` = ceil(p(1)·deg), the
-    kept degree level 1 needs, and ``action[deg]`` one of
+    Returns ``(need1, action, needs)``: ``need1[deg]`` = ceil(p(1)·deg),
+    the kept degree level 1 needs, ``needs[deg]`` the thresholds
+    ceil(p(i)·deg) of levels i = 2..t the depth-t checks count against,
+    and ``action[deg]``, read off ``needs``, one of
     ``_PASS`` (no threshold above level 1 rose from deg - 1 to deg),
     ``_PROBE_THEN_KEEP`` (ceil(p(2)·deg) > deg - 1: without a shared kept
     neighbour level 2 fails) or ``_PROBE_THEN_BFS`` (any other rise).
     """
     (num1, den1), *upper = ratios
-    need1 = [-(-num1 * deg // den1) for deg in range(size)]
-    action = [_PASS] * size
-    if upper:
-        num2, den2 = upper[0]
-        for deg in range(1, size):
-            old = deg - 1
-            if num2 * deg > den2 * old:
-                action[deg] = _PROBE_THEN_KEEP
-            elif any(-(-num * deg // den) != -(-num * old // den) for num, den in upper):
-                action[deg] = _PROBE_THEN_BFS
-    return tuple(need1), tuple(action)  # shared by every caller: read-only
-
-
-@lru_cache(maxsize=16)
-def _level_needs(ratios: tuple[tuple[int, int], ...], size: int) -> tuple[tuple[int, ...], ...]:
-    """``needs[deg]``: the thresholds ceil(p(i)·deg) of levels i = 2..t at
-    each reference degree ``deg`` < ``size``, sized as in
-    :func:`_degree_rules`, which :func:`_mask_levels_ok` compares its
-    counts with. Only the mask scan reads them, so ``size`` stays within
-    :data:`MASK_SCAN_MAX_N`: at a million degrees they would hold ~90 MB.
-    """
-    return tuple(tuple(-(-num * deg // den) for num, den in ratios[1:]) for deg in range(size))
+    need1 = tuple(-(-num1 * deg // den1) for deg in range(size))
+    needs = tuple(tuple(-(-num * deg // den) for num, den in upper) for deg in range(size))
+    action = tuple(
+        _PASS if deg == 0 or needs[deg] == needs[deg - 1]
+        else _PROBE_THEN_KEEP if needs[deg][0] > deg - 1
+        else _PROBE_THEN_BFS
+        for deg in range(size)
+    )
+    return need1, action, needs  # shared by every caller: read-only
 
 
 @lru_cache(maxsize=16)
@@ -210,13 +198,14 @@ def _bits(n: int) -> tuple[int, ...]:
 
 
 def _scan(
-    n: int,
+    g: Graph,
     edges: Sequence[Edge],
     pf: ProportionFunction,
     prev: Sequence[bool] | None = None,
     swap: tuple[int, int] = (0, 0),
 ) -> list[bool]:
-    """Keep flags of the incremental scan, one per position of ``edges``.
+    """Keep flags of the incremental scan, one per position of ``edges``,
+    an order of g's edges (either way round).
 
     Step k appends edge (u, v) to the reference graph and keeps it unless
     both endpoints still meet every level in the kept graph. Invariant:
@@ -240,9 +229,9 @@ def _scan(
     - anything else runs the exact depth-t check.
 
     :func:`_degree_rules` tabulates the first, second and fourth rule per
-    degree. The probe is symmetric, so it runs at most once per edge, and
-    only when an endpoint needs it. The flags are those of a BFS per
-    endpoint.
+    degree up to g's largest, and the depth-t check's thresholds. The probe
+    is symmetric, so it runs at most once per edge, and only when an
+    endpoint needs it. The flags are those of a BFS per endpoint.
 
     ``prev`` may hold the flags of a scan over this order with positions
     ``swap = (i, j)``, i < j, exchanged; then only the decisions the swap
@@ -257,8 +246,8 @@ def _scan(
     :func:`_mask_scan`, the rest :func:`_list_scan`; both give the same
     flags.
     """
-    scan = _mask_scan if n <= MASK_SCAN_MAX_N else _list_scan
-    return scan(n, edges, pf, prev, swap)
+    scan = _mask_scan if g.n <= MASK_SCAN_MAX_N else _list_scan
+    return scan(g, edges, pf, prev, swap)
 
 
 def _rejoins(flags: list[bool], prev: Sequence[bool], i: int, j: int) -> bool:
@@ -267,30 +256,28 @@ def _rejoins(flags: list[bool], prev: Sequence[bool], i: int, j: int) -> bool:
     return flags[i] == prev[j] and flags[j] == prev[i] and flags[i + 1 : j] == prev[i + 1 : j]
 
 
-def _list_levels_ok(
-    x: int, deg: int, ref: Sequence[int], kept: Sequence[Sequence[int]], ratios: Sequence[tuple[int, int]]
-) -> bool:
+def _list_levels_ok(x: int, ref: Sequence[int], kept: Sequence[Sequence[int]], needs: tuple[int, ...]) -> bool:
     """The depth-t check of endpoint ``x`` on adjacency lists, given that
     level 1 passes: does x reach ceil(p(i)·deg) of its reference
     neighbours within i hops of kept edges at every level i >= 2?
 
-    ``ref`` is x's reference row, ``deg`` its length, and ``kept[w]`` w's
-    kept row. Level 1 is x's kept row: every kept neighbour is a
-    reference one. Each level from 2 up walks the kept rows of the
+    ``ref`` is x's reference row, of length deg, ``kept[w]`` w's kept row,
+    and ``needs`` the thresholds ceil(p(i)·deg) of levels i = 2..t, from
+    :func:`_degree_rules`. Level 1 is x's kept row: every kept neighbour
+    is a reference one. Each level from 2 up walks the kept rows of the
     frontier into a reached set, counting the reference neighbours it
     finds, and the check stops once the count reaches ceil(p(t)·deg).
     :func:`_mask_levels_ok` is its twin on bitmask rows.
     """
-    num, den = ratios[-1]
-    need = -(-num * deg // den)
     frontier = kept[x]
     count = len(frontier)
-    if count >= need:
-        return True
+    if not needs or count >= needs[-1]:
+        return True  # t = 1, or level 1 already reaches ceil(p(t)·deg)
+    need = needs[-1]
     ref_set = set(ref)
     reach = set(frontier)
     reach.add(x)
-    for num, den in ratios[1:]:
+    for level_need in needs:
         nxt: list[int] = []
         for w in frontier:
             for y in kept[w]:
@@ -301,14 +288,14 @@ def _list_levels_ok(
                         count += 1
                         if count == need:
                             return True
-        if count * den < num * deg:
+        if count < level_need:
             return False
         frontier = nxt
     raise AssertionError("level t passes only once the count reaches need")
 
 
 def _list_scan(
-    n: int,
+    g: Graph,
     edges: Sequence[Edge],
     pf: ProportionFunction,
     prev: Sequence[bool] | None = None,
@@ -316,11 +303,10 @@ def _list_scan(
 ) -> list[bool]:
     """:func:`_scan` on adjacency lists: the probe is a set of the shorter
     kept row against the longer one, the depth-t check :func:`_list_levels_ok`."""
-    ratios = pf.ratios
-    need1, action = _degree_rules(ratios, min(n, len(edges) + 1))
+    need1, action, needs = _degree_rules(pf.ratios, g.max_degree + 1)
 
-    reference: list[list[int]] = [[] for _ in range(n)]
-    kept_adj: list[list[int]] = [[] for _ in range(n)]
+    reference: list[list[int]] = [[] for _ in range(g.n)]
+    kept_adj: list[list[int]] = [[] for _ in range(g.n)]
     flags: list[bool] = []
     i, j = swap  # without prev, i = 0: every position is decided
     for k, edge in enumerate(edges):
@@ -347,7 +333,7 @@ def _list_scan(
                     shared = not set(a).isdisjoint(b)
                 if shared:
                     continue
-                if rule == _PROBE_THEN_KEEP or not _list_levels_ok(x, deg, reference[x], kept_adj, ratios):
+                if rule == _PROBE_THEN_KEEP or not _list_levels_ok(x, reference[x], kept_adj, needs[deg]):
                     keep = True
                     break
         flags.append(keep)
@@ -365,7 +351,7 @@ def _mask_levels_ok(x: int, ref: int, kept: list[int], needs: tuple[int, ...]) -
 
     ``ref`` is x's reference row as a mask, ``kept[w]`` w's kept row, and
     ``needs`` the thresholds ceil(p(i)·deg) of levels i = 2..t at x's
-    reference degree deg, from :func:`_level_needs`. Each level from 2
+    reference degree deg, from :func:`_degree_rules`. Each level from 2
     up ORs the kept rows of the frontier into the reached mask and counts
     the reference neighbours in it; the check stops once that count
     reaches ceil(p(t)·deg).
@@ -392,7 +378,7 @@ def _mask_levels_ok(x: int, ref: int, kept: list[int], needs: tuple[int, ...]) -
 
 
 def _mask_scan(
-    n: int,
+    g: Graph,
     edges: Sequence[Edge],
     pf: ProportionFunction,
     prev: Sequence[bool] | None = None,
@@ -411,14 +397,12 @@ def _mask_scan(
     pass, and the level-1 tests are skipped at p(1) = 0, where no
     threshold is above 0.
     """
-    size = min(n, len(edges) + 1)
-    need1, action = _degree_rules(pf.ratios, size)
-    needs = _level_needs(pf.ratios, size)
+    need1, action, needs = _degree_rules(pf.ratios, g.max_degree + 1)
     level1 = need1 and need1[-1]  # need1 is non-decreasing: 0 means every entry is
 
-    bit = _bits(n)
-    ref = [0] * n
-    kept = [0] * n
+    bit = _bits(g.n)
+    ref = [0] * g.n
+    kept = [0] * g.n
     i, j = swap  # without prev, i = 0: every position is decided
     for k in range(i):  # the prefix before the first swap keeps prev's edges
         u, v = edges[k]
@@ -480,7 +464,7 @@ def compress_basic(g: Graph, pf: ProportionFunction, edges: Sequence[Edge]) -> C
     _validate_ordering(g, edges)
 
     start = time.perf_counter()
-    flags = _scan(g.n, edges, pf)
+    flags = _scan(g, edges, pf)
     # canonical tuples of the order are shared, not rebuilt
     kept = frozenset(
         e if type(e) is tuple and e[0] < e[1] else canonical_edge(*e)

@@ -8,6 +8,7 @@ be written back in the caller's id space.
 from __future__ import annotations
 
 import operator
+import sys
 import warnings
 from bisect import bisect_left, insort
 from typing import IO, Iterable, Iterator, Sequence
@@ -36,7 +37,7 @@ class Graph:
     call; concurrent first calls build equal tuples and one of them wins.
     """
 
-    __slots__ = ("n", "m", "adjacency", "labels", "_edges")
+    __slots__ = ("n", "m", "max_degree", "adjacency", "labels", "_edges")
 
     def __init__(self, adjacency: Sequence[Iterable[int]], labels: Sequence[int] | None = None):
         if labels is not None:  # as load_edge_list makes them, so write_edge_list can write them back
@@ -46,6 +47,9 @@ class Graph:
                 raise ValueError("labels must be integers") from None
             if any(a >= b for a, b in zip((-1, *labels), labels)):
                 raise ValueError("labels must be non-negative and strictly ascending")
+            digits = sys.get_int_max_str_digits()  # 0 means no limit
+            if digits and labels and labels[-1] >= 10**digits:  # ascending: the last is the largest
+                raise ValueError(f"labels must have at most {digits} digits")
         self._assign(adjacency, labels)
         adj = self.adjacency
         n = self.n
@@ -80,6 +84,7 @@ class Graph:
         object.__setattr__(self, "n", len(adj))
         # handshaking: every edge appears in exactly two adjacency rows
         object.__setattr__(self, "m", sum(map(len, adj)) // 2)
+        object.__setattr__(self, "max_degree", max(map(len, adj), default=0))
         object.__setattr__(self, "adjacency", adj)
         object.__setattr__(self, "labels", tuple(labels) if labels is not None else None)
         object.__setattr__(self, "_edges", None)
@@ -157,7 +162,7 @@ def load_edge_list(source: IO[str] | Iterable[str]) -> Graph:
     again, so one int is kept per vertex, not per endpoint; the indices
     become ascending-label ranks after the last line. Each edge goes straight into both endpoints' rows, with no edge
     set; repeats are collapsed with one warning that counts them, and
-    self-loops are rejected.
+    self-loops and ids too long for ``int()`` are rejected.
     """
     index: dict[int, int] = {}  # label -> first-seen index
     # each spelling of a label ("01", "1") -> its index, so a known token
@@ -182,16 +187,20 @@ def load_edge_list(source: IO[str] | Iterable[str]) -> Graph:
                 negative = False
             kind = "negative vertex id" if negative else "non-integer token"
             raise EdgeListFormatError(f"{kind} in {line.strip()!r}", line_number)
-        u = get(a)
-        if u is None:
-            u = by_token[a] = index.setdefault(int(a), len(rows))
-            if u == len(rows):
-                rows.append([])
-        v = get(b)
-        if v is None:
-            v = by_token[b] = index.setdefault(int(b), len(rows))
-            if v == len(rows):
-                rows.append([])
+        try:  # int() refuses more digits than sys.get_int_max_str_digits()
+            u = get(a)
+            if u is None:
+                u = by_token[a] = index.setdefault(int(a), len(rows))
+                if u == len(rows):
+                    rows.append([])
+            v = get(b)
+            if v is None:
+                v = by_token[b] = index.setdefault(int(b), len(rows))
+                if v == len(rows):
+                    rows.append([])
+        except ValueError:
+            digits = sys.get_int_max_str_digits()
+            raise EdgeListFormatError(f"vertex id of more than {digits} digits", line_number) from None
         if u == v:
             raise EdgeListFormatError(f"self-loop at vertex {int(a)}", line_number)
         rows[u].append(v)

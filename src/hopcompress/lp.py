@@ -37,7 +37,8 @@ from .graph import Edge, Graph, Path, edge_paths
 # the 4 877 of G(40,200); K_60 at t=3 would ask for ~6M paths
 MAX_PATH_VARS = 10_000
 # exact_minimum's branch and bound took 3–4 820 nodes on family-g20's 30 G(20,60) at p=0,1/2
-# (1–44 s; 7.8–9.1 ms a node on the deepest, 2 cores) and 1 or 15 on zachary: ~1.5 min at the cap
+# (1–44 s) and 1 or 15 on zachary. The cap bounds nodes, not time: a node cost 6.5–243 ms
+# there (seed 1010: 5.8 s for 24 nodes, 2 cores), and no node's LP has a cap of its own
 MAX_MIP_NODES = 10_000
 
 
@@ -188,7 +189,10 @@ def exact_minimum(g: Graph, pf: ProportionFunction) -> tuple[int, Graph]:
     :func:`~hopcompress.compress.verify` raises UnsoundOutputError."""
     import numpy as np
 
-    model = build_lp(g, pf)
+    try:
+        model = build_lp(g, pf)
+    except SizeLimitError as err:  # keep the guard's finding, not the ordering it advises
+        raise SizeLimitError(f"exact minimum refused: {str(err).partition(';')[0]}") from err
     # an integral sum meets p·deg iff it meets the ceiling, which no tolerance can blur
     model = replace(model, lower=np.ceil(model.lower))
     costs = (np.arange(model.num_vars) < len(model.edges)).astype(float)  # 1 per edge

@@ -208,7 +208,7 @@ def sa_order(g: Graph, pf: ProportionFunction, params: SaParams) -> tuple[Edge, 
             "ordering instead"
         )
 
-    flags = _scan(g.n, current, pf)
+    flags = _scan(g, current, pf)
     cost_current = sum(flags)
     best = current
     cost_best = cost_current
@@ -218,7 +218,7 @@ def sa_order(g: Graph, pf: ProportionFunction, params: SaParams) -> tuple[Edge, 
         i, j = _swap_positions(rng, m)
         candidate = list(current)
         candidate[i], candidate[j] = candidate[j], candidate[i]
-        candidate_flags = _scan(g.n, candidate, pf, flags, (i, j))
+        candidate_flags = _scan(g, candidate, pf, flags, (i, j))
         cost = sum(candidate_flags)
         if cost < cost_best:
             best = candidate

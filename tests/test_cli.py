@@ -1,6 +1,7 @@
 import io
 import itertools
 import json
+import sys
 import tracemalloc
 import warnings
 from concurrent.futures.process import BrokenProcessPool
@@ -595,6 +596,17 @@ class TestEdgeCases:
         assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff")
         assert err.count("\n") == 1
 
+    def test_id_past_the_int_digit_limit_is_config_error(self, tmp_path, capsys):
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("this Python parses integers of any length")
+        huge = tmp_path / "huge.txt"
+        huge.write_text("1 " + "9" * (limit + 700) + "\n")
+        assert main(["compress", str(huge), "--p", "1/2"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err == f"error: {huge}: line 1: vertex id of more than {limit} digits\n"
+
     def test_empty_graph_roundtrip(self, tmp_path, capsys):
         empty = tmp_path / "empty.txt"
         empty.write_text("# nothing here\n")
@@ -819,6 +831,8 @@ class TestDrawnArguments:
     @example(run=({"a": b"0 1", "b": b""}, ["compress", "@a", "--p", "1e-5000"]))
     # and so did the 4301-digit denominator of 4300 decimals
     @example(run=({"a": b"0 1", "b": b""}, ["compress", "triangle", "--p", "0." + "0" * 4299 + "1"]))
+    # int() refused an id of more digits than sys.get_int_max_str_digits()
+    @example(run=({"a": b"1 " + b"9" * 5000, "b": b""}, ["compress", "@a", "--p", "1/2"]))
     # n(n-1)/2 past sys.maxsize once overflowed random.sample
     @example(run=({}, ["gen", "@gen", "--n", "1000000000000", "--m", "1"]))
     @example(run=({}, ["bench", "--family", "1000000000000,1,1", "--p", "1"]))

@@ -23,8 +23,10 @@ from hopcompress import (
 import hopcompress.compress as compress_module
 from hopcompress.compress import (
     MASK_SCAN_MAX_N,
+    _PASS,
+    _PROBE_THEN_BFS,
+    _PROBE_THEN_KEEP,
     _degree_rules,
-    _level_needs,
     _list_levels_ok,
     _list_scan,
     _mask_levels_ok,
@@ -211,23 +213,23 @@ class TestDepthChecks:
         x = data.draw(st.integers(0, g.n - 1))
         base = g.adjacency[x]
         assume(len(gc.adjacency[x]) >= pf.props[0] * len(base))
-        ratios = [(p.numerator, p.denominator) for p in pf.props]
         expected = oracle_short_level(gc.adjacency, x, base, pf.props) is None
-        assert _list_levels_ok(x, len(base), base, gc.adjacency, ratios) == expected
-        masks = [sum(1 << w for w in row) for row in gc.adjacency]
         needs = tuple(math.ceil(p * len(base)) for p in pf.props[1:])
+        assert _list_levels_ok(x, base, gc.adjacency, needs) == expected
+        masks = [sum(1 << w for w in row) for row in gc.adjacency]
         assert _mask_levels_ok(x, sum(1 << w for w in base), masks, needs) == expected
 
     def test_distance_two_neighbor_counts(self):
-        # x = 0 keeps neighbour 1; neighbour 2 is two hops away
-        kept = [[1], [0, 2], [1]]
-        assert _list_levels_ok(0, 2, [1, 2], kept, [(1, 2), (1, 1)])
-        assert _mask_levels_ok(0, 0b110, [0b10, 0b101, 0b10], (2,))
+        # x = 0 keeps neighbour 1; neighbour 2 is two hops away; p = 1/2,1
+        needs = (2,)
+        assert _list_levels_ok(0, [1, 2], [[1], [0, 2], [1]], needs)
+        assert _mask_levels_ok(0, 0b110, [0b10, 0b101, 0b10], needs)
 
     def test_unreachable_neighbor_fails_level_two(self):
         # p = 0,1: level 1 passes with nothing kept, level 2 fails
-        assert not _list_levels_ok(0, 1, [1], [[], []], [(0, 1), (1, 1)])
-        assert not _mask_levels_ok(0, 0b10, [0, 0], (1,))
+        needs = (1,)
+        assert not _list_levels_ok(0, [1], [[], []], needs)
+        assert not _mask_levels_ok(0, 0b10, [0, 0], needs)
 
 
 class TestCompressBasic:
@@ -350,7 +352,7 @@ class TestScan:
         g, order, pf = case
         expected = reference_scan(g.n, order, pf)
         for scan in self.SCANS:
-            assert scan(g.n, order, pf) == expected, scan.__name__
+            assert scan(g, order, pf) == expected, scan.__name__
 
     @settings(max_examples=200, deadline=None)
     @given(case=scan_cases(), data=st.data())
@@ -364,7 +366,7 @@ class TestScan:
         order[i], order[j] = order[j], order[i]
         expected = reference_scan(g.n, order, pf)
         for scan in self.SCANS:
-            assert scan(g.n, order, pf, prev, (i, j)) == expected, scan.__name__
+            assert scan(g, order, pf, prev, (i, j)) == expected, scan.__name__
 
     @pytest.mark.parametrize("pf", EDGE_CASE_PROPORTIONS, ids=str)
     def test_flags_match_bfs_reference_on_clustered_graphs(self, pf):
@@ -377,7 +379,7 @@ class TestScan:
             order = list(random_order(g, seed))
             expected = reference_scan(g.n, order, pf)
             for scan in self.SCANS:
-                assert scan(g.n, order, pf) == expected, scan.__name__
+                assert scan(g, order, pf) == expected, scan.__name__
 
     def test_level_two_rule_decides_without_bfs_at_t3(self, monkeypatch):
         # at p=0,1,1 the first edge lifts both endpoints' level-2 threshold
@@ -397,9 +399,9 @@ class TestScan:
                 return real(*args)
 
             monkeypatch.setattr(compress_module, bfs, counting)
-            assert scan(g.n, order[:1], pf) == [True]
+            assert scan(g, order[:1], pf) == [True]
             assert calls == [], scan.__name__
-            assert scan(g.n, order, pf) == expected, scan.__name__
+            assert scan(g, order, pf) == expected, scan.__name__
 
     def test_probe_sets_the_shorter_kept_row_on_either_side(self, monkeypatch):
         # leaf pairs first, then hub 0 to every leaf: the hub's kept row
@@ -409,6 +411,7 @@ class TestScan:
         pairs = [(a, a + 1) for a in range(1, 13, 2)]
         pf = ProportionFunction.parse("1/2,1")
         for order in (pairs + [(0, x) for x in leaves], pairs + [(x, 0) for x in leaves]):
+            g = Graph.from_edges(13, order)
             expected = reference_scan(13, order, pf)
             assert sum(expected[len(pairs) :]) > 2  # the hub keeps more than 2 edges
             built = []
@@ -419,58 +422,67 @@ class TestScan:
 
             with monkeypatch.context() as patch:
                 patch.setattr(compress_module, "set", recording, raising=False)
-                assert _list_scan(13, order, pf) == expected
+                assert _list_scan(g, order, pf) == expected
             assert built and max(built) <= 2, built
 
     @pytest.mark.parametrize("scan", SCANS, ids=lambda scan: scan.__name__)
-    def test_degree_tables_sized_by_the_edges(self, monkeypatch, scan):
-        # one edge on 10**6 vertices reaches degree 1 at most, so the tables
-        # hold degrees 0 and 1; the scan is stopped before it allocates its rows
+    def test_tables_sized_by_the_largest_degree(self, monkeypatch, scan):
+        # no reference degree passes the graph's largest, so the table has
+        # a row per degree up to it, not one per vertex or edge
+        from hopcompress import gen_gnm
+
         class Built(Exception):
             pass
 
         sizes = []
 
-        def recording(ratios, size):
-            sizes.extend(map(len, _degree_rules(ratios, size)))
-            raise Built
+        def recording(ratios, size, stop):
+            tables = _degree_rules(ratios, size)
+            sizes.append((len(tables[0]), len(tables[1]), len(tables[2]), {len(row) for row in tables[2]}))
+            if stop:  # before the scan allocates its rows
+                raise Built
+            return tables
 
-        monkeypatch.setattr(compress_module, "_degree_rules", recording)
+        # a 3-edge star on 10**5 vertices: degrees 0 to 3
+        star = Graph.from_edges(10**5, [(0, 1), (0, 2), (0, 3)])
+        monkeypatch.setattr(compress_module, "_degree_rules", lambda *args: recording(*args, True))
         with pytest.raises(Built):
-            scan(10**6, [(0, 1)], ProportionFunction.parse("0,1/2"))
-        assert sizes == [2, 2]
-
-    def test_level_needs_sized_by_the_edges(self, monkeypatch):
-        # the mask scan's thresholds of levels 2..t, sized like the rules
-        class Built(Exception):
-            pass
-
-        tables = []
-
-        def recording(ratios, size):
-            tables.append(_level_needs(ratios, size))
-            raise Built
-
-        monkeypatch.setattr(compress_module, "_level_needs", recording)
-        with pytest.raises(Built):
-            _mask_scan(MASK_SCAN_MAX_N, [(0, 1), (1, 2)], ProportionFunction.parse("0,1/3,1/2"))
-        assert tables == [((0, 0), (1, 1), (1, 1))]
+            scan(star, list(star.edges()), ProportionFunction.parse("0,1/2"))
+        assert sizes.pop() == (4, 4, 4, {1})
+        # a sparse G(1024, 5000) at 10 000 levels: largest degree + 1 rows of 9 999 thresholds
+        g = gen_gnm(1024, 5000, 0)
+        pf = ProportionFunction.parse(",".join(["1/2"] * 10_000))
+        monkeypatch.setattr(compress_module, "_degree_rules", lambda *args: recording(*args, False))
+        order = list(random_order(g, 0))
+        assert scan(g, order, pf) == _scan(g, order, ProportionFunction.parse("1/2,1/2"))
+        assert g.max_degree < 30
+        assert sizes[0] == (g.max_degree + 1,) * 3 + ({9_999},)
 
     @pytest.mark.parametrize("p", ["1/2", "0,1/2", "1/3,2/3,1", "0,0,1/2", "1/7,3/7,5/7,1"])
     def test_level_needs_are_ceilings(self, p):
         pf = ProportionFunction.parse(p)
-        needs = _level_needs(pf.ratios, 50)
+        need1, action, needs = _degree_rules(pf.ratios, 50)
+        assert need1 == tuple(math.ceil(pf.props[0] * deg) for deg in range(50))
         assert needs == tuple(tuple(math.ceil(q * deg) for q in pf.props[1:]) for deg in range(50))
+        # a rule per degree from the scan's argument, on exact fractions
+        for deg in range(1, 50):
+            rose = [math.ceil(q * deg) != math.ceil(q * (deg - 1)) for q in pf.props[1:]]
+            if pf.t > 1 and pf.props[1] * deg > deg - 1:
+                assert action[deg] == _PROBE_THEN_KEEP, deg
+            else:
+                assert action[deg] == (_PROBE_THEN_BFS if any(rose) else _PASS), deg
+        assert action[0] == _PASS
 
     def test_tables_are_built_on_first_scan_not_at_import(self):
         # import time is part of every CLI call: the cached tables wait for a scan
         code = (
             "import hopcompress\n"
             "import hopcompress.compress as c\n"
-            "tables = (c._degree_rules, c._level_needs, c._bits)\n"
-            "assert [f.cache_info().currsize for f in tables] == [0, 0, 0]\n"
-            "c._scan(3, [(0, 1), (1, 2)], c.ProportionFunction.parse('0,1/2'))\n"
-            "assert [f.cache_info().currsize for f in tables] == [1, 1, 1]\n"
+            "tables = (c._degree_rules, c._bits)\n"
+            "assert [f.cache_info().currsize for f in tables] == [0, 0]\n"
+            "g = hopcompress.Graph.from_edges(3, [(0, 1), (1, 2)])\n"
+            "c._scan(g, [(0, 1), (1, 2)], c.ProportionFunction.parse('0,1/2'))\n"
+            "assert [f.cache_info().currsize for f in tables] == [1, 1]\n"
         )
         src = os.path.dirname(os.path.dirname(compress_module.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -491,7 +503,7 @@ class TestScan:
             monkeypatch.setattr(
                 compress_module, name, lambda *args, name=name: chosen.append(name) or []
             )
-        _scan(n, [(0, 1)], ProportionFunction.parse(p))
+        _scan(Graph.from_edges(n, [(0, 1)]), [(0, 1)], ProportionFunction.parse(p))
         assert chosen == [expected]
 
 

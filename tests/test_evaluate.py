@@ -179,9 +179,20 @@ class TestBruteForceOptimal:
             exact_minimum(g, pf)
 
     def test_guards_of_the_model_apply(self):
-        # K_60 at t = 3 would ask for ~6M path variables
-        with pytest.raises(SizeLimitError, match="exceed the path-search guard"):
-            exact_minimum(gen_gnm(60, 1770, 0), ProportionFunction.parse("0,0,1/2"))
+        # K_60 at t = 3 would ask for ~6M path variables; no ordering is a
+        # remedy for wanting the minimum, so none is advised
+        cases = [
+            (gen_gnm(60, 1770, 0), "0,0,1/2", "more than 40000000 adjacency entries to scan for paths "
+             "of at most 3 edges exceed the path-search guard"),
+            (gen_gnm(200, 10001, 0), "1/2", "more than 10000 paths or 130000 constraint entries for "
+             "paths of at most 1 edges exceed the LP guard"),
+        ]
+        for g, p, finding in cases:
+            with pytest.raises(SizeLimitError) as raised:
+                exact_minimum(g, ProportionFunction.parse(p))
+            assert str(raised.value) == f"exact minimum refused: {finding}"
+            assert isinstance(raised.value.__cause__, SizeLimitError)
+            assert "ordering" not in str(raised.value)
 
     @pytest.mark.parametrize("p, optimum", [("1/2,1", 46), ("0,1/2", 31)])
     def test_zachary_optima(self, p, optimum):

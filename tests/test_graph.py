@@ -1,5 +1,6 @@
 import io
 import math
+import sys
 import time
 import warnings
 
@@ -79,6 +80,32 @@ class TestLoadEdgeList:
         # a token that is not an integer at all wins over a negative one
         with pytest.raises(EdgeListFormatError, match=r"^line 1: non-integer token in '-1 x'$"):
             load("-1 x\n")
+
+    def test_ids_past_the_int_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("this Python parses integers of any length")
+        with pytest.raises(EdgeListFormatError) as raised:
+            load("0 1\n1 " + "9" * (limit + 1) + "\n")
+        assert raised.value.line_number == 2
+        assert str(raised.value) == f"line 2: vertex id of more than {limit} digits"
+        # an id of exactly the limit loads and is written back
+        big = "9" * limit
+        g = load(f"0 {big}\n{big} 1\n")
+        assert g.labels == (0, 1, int(big))
+        out = io.StringIO()
+        write_edge_list(g, out)
+        assert out.getvalue() == f"0 {big}\n1 {big}\n"
+
+    def test_no_int_digit_limit_takes_any_id(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # 0 means no limit
+        try:
+            big = "9" * (max(limit, 640) + 1)
+            assert load(f"0 {big}\n").labels == (0, int(big))
+            assert Graph.from_edges(2, [(0, 1)], labels=[0, int(big)]).labels == (0, int(big))
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_leading_zeros_and_unicode_spaces_accepted(self):
         g = load("01\u00a0002\n2\u30003\n")
@@ -205,6 +232,24 @@ class TestGraphInvariants:
     def test_rejects_labels_the_writer_cannot_write_back(self, labels):
         with pytest.raises(ValueError, match="^labels must be "):
             Graph.from_edges(2, [(0, 1)], labels=labels)
+
+    def test_rejects_labels_too_long_to_write(self):
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("this Python prints integers of any length")
+        assert Graph.from_edges(2, [(0, 1)], labels=[0, 10**limit - 1]).labels[1] == 10**limit - 1
+        with pytest.raises(ValueError, match=f"^labels must have at most {limit} digits"):
+            Graph.from_edges(2, [(0, 1)], labels=[0, 10**limit])
+
+    def test_max_degree(self):
+        assert Graph([]).max_degree == 0
+        assert Graph.from_edges(3, []).max_degree == 0
+        g = Graph.from_edges(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
+        assert g.max_degree == 3 == max(map(g.degree, range(g.n)))
+        loaded = load("7 8\n8 9\n8 10\n10 11\n# 8 12\n")
+        assert loaded.max_degree == 3 and loaded == Graph.from_edges(5, g.edges(), loaded.labels)
+        with pytest.raises(AttributeError):
+            g.max_degree = 0
 
     def test_integer_labels_are_stored_as_ints(self):
         np = pytest.importorskip("numpy")

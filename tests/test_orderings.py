@@ -399,7 +399,7 @@ class TestSaCompress:
         # a stubbed scan keeps every edge, so only the guard decides
         scans = []
         monkeypatch.setattr(
-            orderings_module, "_scan", lambda n, order, *args: scans.append(order) or [1] * 3
+            orderings_module, "_scan", lambda g, order, *args: scans.append(order) or [1] * 3
         )
         pf = ProportionFunction.parse("0,1/2")
         limit = orderings_module.MAX_SA_EDGE_TRIALS
